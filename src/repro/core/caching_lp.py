@@ -99,10 +99,7 @@ class CachingSolution:
 
 def class_prices(network: Network, mu: FloatArray) -> FloatArray:
     """Aggregate dual prices per SBS: ``c[t, n, k] = sum_{m in n} mu[t, m, k]``."""
-    T = mu.shape[0]
-    out = np.zeros((T, network.num_sbs, network.num_items))
-    np.add.at(out, (slice(None), network.class_sbs), mu)
-    return out
+    return network.sum_classes_per_sbs(mu)
 
 
 def solve_caching(

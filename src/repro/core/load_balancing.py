@@ -289,6 +289,18 @@ def _solve_p2_fast_batched(
             closed_form=closed_form,
             bisection_iters=bisection_iters,
         )
+    G = net.num_classes // N
+    if net.num_classes == N * G and np.array_equal(
+        net.class_sbs, np.repeat(np.arange(N), G)
+    ):
+        return _solve_p2_fast_uniform(
+            problem,
+            mu,
+            G,
+            x_caps=x_caps,
+            closed_form=closed_form,
+            bisection_iters=bisection_iters,
+        )
     counts = [len(net.classes_of_sbs[n]) for n in range(N)]
     j_max = max(counts) * K if N else 0
     R = N * T
@@ -345,6 +357,82 @@ def _solve_p2_fast_batched(
         y[:, classes, :] = y_n.reshape(T, counts[n], K)
         residual = W_b[rows] - u_b[rows]
         objective += float(scale * np.sum(residual**2)) + float(np.sum(mu_n * y_n))
+    return LoadBalancingSolution(y=y, objective=objective)
+
+
+def _solve_p2_fast_uniform(
+    problem: JointProblem,
+    mu: FloatArray,
+    G: int,
+    *,
+    x_caps: FloatArray | None,
+    closed_form: bool | None,
+    bisection_iters: int | None,
+) -> LoadBalancingSolution:
+    """The batched fast path for ``G`` contiguous classes on every SBS.
+
+    Class ``m`` belongs to SBS ``m // G``, so the SBS-major stack is a
+    transpose of the ``(T, M, K)`` tensors and needs no padding: assembly
+    and the ``y`` scatter are whole-array reshapes. ``W`` keeps the
+    per-SBS GEMV, and every reduction runs over the same contiguous
+    blocks as in :func:`_solve_p2_fast_batched`'s loop, so kernel inputs,
+    ``y`` and the objective are bit-identical to it.
+    """
+    net = problem.network
+    scale = problem.bs_cost.scale  # type: ignore[union-attr]
+    T = problem.horizon
+    K = net.num_items
+    N = net.num_sbs
+    J = G * K
+
+    def sbs_major(a: FloatArray) -> FloatArray:
+        """``(T, M, K)`` -> rows ``n*T + t``, columns ``g*K + k``."""
+        return np.ascontiguousarray(a.reshape(T, N, J).transpose(1, 0, 2)).reshape(
+            N * T, J
+        )
+
+    lam_b = sbs_major(problem.demand)
+    mu_b = sbs_major(mu)
+    om_rows = np.repeat(net.omega_bs, K).reshape(N, J)
+    om_b = np.repeat(om_rows, T, axis=0)
+    caps_b = lam_b
+    if x_caps is not None:
+        per_class_caps = np.broadcast_to(
+            x_caps.transpose(1, 0, 2)[:, :, None, :], (N, T, G, K)
+        ).reshape(N * T, J)
+        caps_b = lam_b * per_class_caps
+    W_b = np.empty(N * T)
+    for n in range(N):
+        rows = slice(n * T, (n + 1) * T)
+        W_b[rows] = lam_b[rows] @ om_rows[n]
+
+    alloc_b, u_b = waterfill_batch(
+        lam_b,
+        caps_b,
+        om_b,
+        mu_b,
+        W_b,
+        np.repeat(net.bandwidths, T),
+        scale,
+        group_ids=np.repeat(np.arange(N, dtype=np.intp), T),
+        closed_form=closed_form,
+        bisection_iters=bisection_iters,
+    )
+
+    # y = alloc / lam where lam > 0, else 0, computed in place: each
+    # (N*T, J) temporary is a fresh multi-MB allocation.
+    y_b = alloc_b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(y_b, lam_b, out=y_b)
+    y_b[~(lam_b > 0)] = 0.0
+    y = y_b.reshape(N, T, G, K).transpose(1, 0, 2, 3).copy().reshape(problem.y_shape)
+    # Per-SBS sums over the same contiguous (T, J) blocks as the loop
+    # (y_b is free for the product once y is copied out).
+    res_sq = ((W_b - u_b) ** 2).reshape(N, T).sum(axis=1)
+    linear = np.multiply(mu_b, y_b, out=y_b).reshape(N, T * J).sum(axis=1)
+    objective = 0.0
+    for n in range(N):
+        objective += float(scale * res_sq[n]) + float(linear[n])
     return LoadBalancingSolution(y=y, objective=objective)
 
 
@@ -523,11 +611,8 @@ def _solve_p2_fista(
     omega_hat = net.omega_sbs
     sbs_of = net.class_sbs
 
-    # Per-slot, per-SBS totals; computed via scatter-add over classes.
-    def per_sbs(values_per_class: FloatArray) -> FloatArray:
-        out = np.zeros((T, net.num_sbs))
-        np.add.at(out, (slice(None), sbs_of), values_per_class)
-        return out
+    # Per-slot, per-SBS totals over classes.
+    per_sbs = net.sum_classes_per_sbs
 
     W_ns = per_sbs(omega[None, :] * lam.sum(axis=2))  # (T, N)
 

@@ -129,6 +129,37 @@ class Network:
             buckets[mu.sbs_id].append(mu.class_id)
         return tuple(np.array(b, dtype=np.int64) for b in buckets)
 
+    @cached_property
+    def classes_by_rank(
+        self,
+    ) -> tuple[tuple[slice | IntArray, slice | IntArray], ...]:
+        """Per class rank ``r``: ``(sbs, cls)``, the SBSs that have an
+        ``r``-th class and the global index of that class.
+
+        Evenly spaced indices are returned as slices; with uniform,
+        contiguous classes per SBS every entry is a slice.
+        """
+        ranks = []
+        for r in range(max((len(c) for c in self.classes_of_sbs), default=0)):
+            sbs = [n for n, c in enumerate(self.classes_of_sbs) if len(c) > r]
+            cls = [int(self.classes_of_sbs[n][r]) for n in sbs]
+            ranks.append((_as_slice(sbs), _as_slice(cls)))
+        return tuple(ranks)
+
+    def sum_classes_per_sbs(self, values: FloatArray) -> FloatArray:
+        """Per-SBS sums of per-class ``values`` along axis 1.
+
+        Maps ``(T, M, ...)`` to ``(T, N, ...)``, bit for bit equal to
+        ``np.add.at(out, (slice(None), class_sbs), values)``: every SBS
+        receives ``0 + v[c0] + v[c1] + ...`` in class order. It runs one
+        duplicate-free add per class rank instead of an unbuffered
+        scatter-add per element.
+        """
+        out = np.zeros((values.shape[0], self.num_sbs) + values.shape[2:])
+        for sbs, cls in self.classes_by_rank:
+            out[:, sbs] += values[:, cls]
+        return out
+
     # ----------------------------------------------------------- construction
 
     def classes_served_by(self, sbs_id: int) -> tuple[MUClass, ...]:
@@ -213,3 +244,13 @@ def single_cell_network(
         MUClass(i, 0, w, wh) for i, (w, wh) in enumerate(zip(omegas, omega_hats))
     )
     return Network(catalog, (sbs,), classes)
+
+
+def _as_slice(idx: Sequence[int]) -> slice | IntArray:
+    """``idx`` as an equivalent slice when evenly spaced, else an array."""
+    if len(idx) == 1:
+        return slice(idx[0], idx[0] + 1)
+    step = idx[1] - idx[0]
+    if step > 0 and all(b - a == step for a, b in zip(idx, idx[1:])):
+        return slice(idx[0], idx[-1] + 1, step)
+    return np.array(idx, dtype=np.int64)

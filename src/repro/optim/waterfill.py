@@ -19,7 +19,8 @@ optimal allocation when the residual ``r = W - u`` exceeds its threshold
 price ``slope_j``). When the bandwidth constraint is slack, the KKT system
 collapses to a one-dimensional fixed point over a *sorted threshold scan*:
 
-* sort items by ``t_j`` once; prefix-sum their weighted capacities ``U_k``;
+* sort the candidate items (below) by ``t_j`` once; prefix-sum their
+  weighted capacities ``U_k``;
 * the fixed point lies in segment ``k*`` — the largest ``k`` with
   ``t_(k) < W - U_k`` (both sequences are monotone, so ``k*`` is a count);
 * if ``W - U_k* <= t_(k*+1)`` the solution is interior: the first ``k*``
@@ -27,6 +28,29 @@ collapses to a one-dimensional fixed point over a *sorted threshold scan*:
 * otherwise the line ``W - r`` crosses inside the jump at ``r* = t_(k*+1)``
   and the items tied at that threshold (``kappa = 0``, indifferent) split
   the remaining weighted volume ``W - r* - U_k*`` greedily in stable order.
+
+Candidate set
+-------------
+Only items with ``t_j < W`` can ever be filled: the residual satisfies
+``r = W - u <= W``, so any other item's margin ``2 s omega_j (r - t_j)``
+is never positive. These *candidates* (19% of a row on the many-SBS
+wide-cell instance, 2.5% by its last iteration) are all the kernel sorts
+and scans. Each chunk packs every row's candidates to the left, in
+column order, behind inert padding (``t = +inf``, cap 0), and keeps the
+column map for the scatter back. Rows are bucketed by
+``ceil(log2(count))``, so one wide row never pads a whole chunk; a class
+too small to pay for its own numpy calls (:data:`_BUCKET_MIN_ELEMS`)
+joins the next wider bucket.
+
+The restriction is bitwise-invisible. Every non-candidate sorts after
+every candidate, so the candidates' stable order is exactly the prefix
+of the full-row sort; the slack scan never needs the first threshold
+outside the set (when ``k* == count``, ``r_int <= W <= t`` makes the row
+interior); and the ``closed`` test sums the compact row as if it were
+zero-extended to the full width (:func:`_zero_extended_sum`). The bound
+stage below runs on the compact rows too, while its weight-structure
+test (:func:`_weight_groups`) reads every item of the full row, so
+fallback routing and the counters do not depend on the restriction.
 
 Closed-form solve, bandwidth bound (:func:`_solve_bw_bound`)
 ------------------------------------------------------------
@@ -94,8 +118,14 @@ the padded width.
 Memory discipline
 -----------------
 Active rows are processed in chunks of roughly ``2^18`` matrix elements
-(:data:`_CHUNK_ELEMS`). Every operation is row-wise, so chunking is
-bitwise-invisible; it bounds the solver's transient state to a few MB
+(:data:`_CHUNK_ELEMS`): only the threshold pass that finds the
+candidates runs at the full width ``J``. The compact buckets are never
+larger than their chunk, and bound rows wait, compact, in a queue that is
+solved whenever it would exceed the same element budget (the bound
+stage's cost is mostly per call, so batching rows across chunks keeps it
+small). The legacy bisection gets full rows one chunk at a time. Every
+operation is row-wise, so chunking, bucketing and queueing are
+bitwise-invisible; they bound the solver's transient state to a few MB
 regardless of the stack size, where the historical kernel materialized
 O(R x J) bracket-state arrays (two ``(R, J)`` intp arrays alone are
 ~320 MB at R=1000, J=20000).
@@ -115,6 +145,11 @@ _INF = np.inf
 #: ``max(1, _CHUNK_ELEMS // J)`` rows keep per-stage temporaries at a few
 #: MB each; all per-row math is chunk-invariant (bitwise).
 _CHUNK_ELEMS = 1 << 18
+
+#: A candidate-count bucket smaller than this many elements, padded to the
+#: next wider bucket's width, joins that bucket: below it the bucket's fixed
+#: numpy-call overhead outweighs the padding it saves. Bitwise-invisible.
+_BUCKET_MIN_ELEMS = 1 << 14
 
 
 def waterfill_batch(
@@ -204,7 +239,6 @@ def waterfill_batch(
         return alloc_out, u_out
 
     two_s = 2.0 * scale
-    cols = np.arange(J)
 
     def slope_of(rows: IntArray) -> FloatArray:
         lam_r = lam[rows]
@@ -508,40 +542,106 @@ def waterfill_batch(
                 u_lo + t * gap,
             )
 
-    def process(rows: IntArray) -> tuple[int, int, int]:
-        """Solve one chunk of active rows.
-
-        Returns ``(bound, closed, fallback)`` row counts for the chunk.
-        """
-        om_a = omega[rows]
-        cp_a = caps[rows]
-        bw_a = bandwidths[rows]
-        W_a = W[rows].astype(np.float64, copy=False)
+    def process(rows: IntArray) -> None:
+        """Solve one chunk of active rows on their candidate sets."""
         A = rows.size
-        ridx = np.arange(A)[:, None]
-        valid = (cp_a > 0) & (om_a > 0)
+        # A contiguous run of rows is sliced (views), not gathered.
+        sel = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] + 1 == A else rows
+        om_a = omega[sel]
+        cp_a = caps[sel]
+        W_a = W[rows].astype(np.float64, copy=False)
         # Fused threshold t_j = mu_j / (2 s lam_j omega_j): one division,
         # and valid entries have lam > 0 so the denominator is positive.
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_thr = np.where(valid, mu[rows] / (two_s * (lam[rows] * om_a)), _INF)
-        ordt = np.argsort(t_thr, axis=1, kind="stable")
-        tv = t_thr[ridx, ordt]
-        cps = cp_a[ridx, ordt]
-        cwv = np.where(valid, om_a * cp_a, 0.0)[ridx, ordt]
+            t_thr = lam[sel] * om_a
+            t_thr *= two_s
+            np.divide(mu[sel], t_thr, out=t_thr)
+        # Candidates: valid items with t < W, in row-major order.
+        idx = np.flatnonzero((cp_a > 0) & (om_a > 0) & (t_thr < W_a[:, None]))
+        rr = idx // J
+        count = np.bincount(rr, minlength=A)
+        pos = np.arange(idx.size) - np.repeat(np.cumsum(count) - count, count)
+        t_e = t_thr.ravel()[idx]
+        om_e = om_a.ravel()[idx]
+        cp_e = cp_a.ravel()[idx]
+        col_e = idx - rr * J
+        del om_a, cp_a, t_thr, idx
+
+        # Bucket rows by ceil(log2(count)) so a bucket pads every row to at
+        # most twice its own candidate count; a class too small to pay for
+        # its own numpy calls (see _BUCKET_MIN_ELEMS) joins the next wider
+        # bucket. Each bucket row holds its candidates packed left in
+        # column order, then inert padding (t = +inf, cap = 0).
+        cls = np.frexp(np.maximum(count - 1, 0).astype(np.float64))[1]
+        bucket = np.empty(A, dtype=np.intp)
+        widths: list[int] = []
+        for k in np.unique(cls)[::-1]:
+            b = cls == k
+            nb = int(b.sum())
+            if not widths or nb * widths[-1] > _BUCKET_MIN_ELEMS:
+                widths.append(max(int(count[b].max()), 1))
+            bucket[b] = len(widths) - 1
+        loc = np.empty(A, dtype=np.intp)
+        for i, C in enumerate(widths):
+            b = np.flatnonzero(bucket == i)
+            nb = b.size
+            loc[b] = np.arange(nb)
+            e = np.flatnonzero(bucket[rr] == i) if nb < A else slice(None)
+            dst = loc[rr[e]] * C + pos[e]
+            t_b = np.full(nb * C, _INF)
+            om_b = np.zeros(nb * C)
+            cp_b = np.zeros(nb * C)
+            col_b = np.zeros(nb * C, dtype=np.intp)
+            t_b[dst] = t_e[e]
+            om_b[dst] = om_e[e]
+            cp_b[dst] = cp_e[e]
+            col_b[dst] = col_e[e]
+            solve_bucket(
+                rows[b],
+                t_b.reshape(nb, C),
+                om_b.reshape(nb, C),
+                cp_b.reshape(nb, C),
+                col_b.reshape(nb, C),
+                count[b],
+                W_a[b],
+            )
+
+    def solve_bucket(
+        rows: IntArray,
+        t_b: FloatArray,
+        om_b: FloatArray,
+        cp_b: FloatArray,
+        col_b: IntArray,
+        cnt: IntArray,
+        W_b: FloatArray,
+    ) -> None:
+        """Slack scan over one bucket of compact rows; queues bound rows."""
+        nb, C = t_b.shape
+        bw_b = bandwidths[rows]
+        cols_c = np.arange(C)
+        ordt = np.argsort(t_b, axis=1, kind="stable")
+        # Flat compact index of each sorted position.
+        flat = (ordt + (np.arange(nb) * C)[:, None]).ravel()
+        tv = t_b.ravel()[flat].reshape(nb, C)
+        cps = cp_b.ravel()[flat].reshape(nb, C)
+        cwv = (om_b * cp_b).ravel()[flat].reshape(nb, C)
         cum = np.cumsum(cwv, axis=1)
         # k* = number of items strictly below the fixed-point residual.
         # Both tv (sorted) and W - cum (cumsum of non-negatives) are
         # monotone, so the comparison row is a prefix of Trues and the
         # count locates it.
-        kstar = (tv < (W_a[:, None] - cum)).sum(axis=1)
-        rows1 = np.arange(A)
+        kstar = (tv < (W_b[:, None] - cum)).sum(axis=1)
+        rows1 = np.arange(nb)
         U_star = np.where(kstar > 0, cum[rows1, np.maximum(kstar - 1, 0)], 0.0)
-        tv_next = np.where(kstar < J, tv[rows1, np.minimum(kstar, J - 1)], _INF)
-        r_int = W_a - U_star
+        # Past the candidates tv is the +inf padding: when every candidate
+        # is below the residual, r_int = W - U* <= W <= t of any other
+        # item, so the row is interior and that item's t is never needed.
+        tv_next = np.where(kstar < C, tv[rows1, np.minimum(kstar, C - 1)], _INF)
+        r_int = W_b - U_star
         interior = r_int <= tv_next
-        u_a = np.where(interior, U_star, W_a - tv_next)
+        u_b = np.where(interior, U_star, W_b - tv_next)
 
-        alloc_sorted = np.where(cols < kstar[:, None], cps, 0.0)
+        alloc_sorted = np.where(cols_c < kstar[:, None], cps, 0.0)
         jrows = np.flatnonzero(~interior)
         if jrows.size:
             # The crossing sits inside the jump at r* = tv_next: items
@@ -550,7 +650,7 @@ def waterfill_batch(
             # order. The budget never exceeds the tied run's weighted
             # capacity (otherwise k* would be larger), so items beyond
             # the run stay at zero.
-            bu = ((W_a[jrows] - tv_next[jrows]) - U_star[jrows])[:, None]
+            bu = ((W_b[jrows] - tv_next[jrows]) - U_star[jrows])[:, None]
             mass = cum[jrows] - U_star[jrows, None]
             # Ties can straddle the k* boundary (tv[k*-1] == tv[k*] with
             # the prefix condition flipping on cum alone). Straddling
@@ -559,13 +659,15 @@ def waterfill_batch(
             # greedy-correct and their mass is inside U_star — the
             # residual budget is distributed over run positions >= k*
             # only.
-            run = (tv[jrows] == tv_next[jrows, None]) & (cols >= kstar[jrows, None])
+            run = (tv[jrows] == tv_next[jrows, None]) & (
+                cols_c >= kstar[jrows, None]
+            )
             cwj = cwv[jrows]
             run_full = run & (mass <= bu)
             boundary = run & (mass > bu) & ((mass - cwj) < bu)
             with np.errstate(divide="ignore", invalid="ignore"):
                 part = np.clip(
-                    (bu - (mass - cwj)) / om_a[jrows[:, None], ordt[jrows]],
+                    (bu - (mass - cwj)) / om_b[jrows[:, None], ordt[jrows]],
                     0.0,
                     cps[jrows],
                 )
@@ -574,63 +676,163 @@ def waterfill_batch(
             )
             del bu, mass, run, cwj, run_full, boundary, part
 
-        tot = alloc_sorted.sum(axis=1)
-        closed = tot <= bw_a
-        crows = np.flatnonzero(closed)
-        if crows.size:
-            allc = np.zeros((crows.size, J))
-            allc[np.arange(crows.size)[:, None], ordt[crows]] = alloc_sorted[crows]
-            alloc_out[rows[crows]] = allc
-            u_out[rows[crows]] = u_a[crows]
+        closed = _zero_extended_sum(alloc_sorted, J) <= bw_b
+        # Sorted positions below a row's count hold its candidates.
+        e = np.flatnonzero((cols_c < cnt[:, None]) & closed[:, None])
+        if e.size:
+            alloc_out[rows[e // C], col_b.ravel()[flat[e]]] = alloc_sorted.ravel()[e]
+        u_out[rows[closed]] = u_b[closed]
 
-        keep = ~closed
-        brows = rows[keep]
+        keep = np.flatnonzero(~closed)
+        if keep.size:
+            queue_bound(rows[keep], om_b[keep], cp_b[keep], col_b[keep], cnt[keep])
+
+    # Bound rows wait here, compact, until they fill the element budget:
+    # the bound stage's numpy-call overhead is per call, not per row, so
+    # batching rows across buckets and chunks keeps it small.
+    pending: list[tuple[IntArray, FloatArray, FloatArray, IntArray, IntArray]] = []
+    pending_rows = pending_width = 0
+    n_bound = n_closed = 0
+
+    def queue_bound(
+        rows: IntArray, om_b: FloatArray, cp_b: FloatArray, col_b: IntArray,
+        cnt: IntArray,
+    ) -> None:
+        nonlocal pending_rows, pending_width
+        width = max(int(cnt.max()), 1)
+        if pending and (pending_rows + rows.size) * max(
+            pending_width, width
+        ) > _CHUNK_ELEMS:
+            flush_bound()
+        pending.append((rows, om_b[:, :width], cp_b[:, :width], col_b[:, :width], cnt))
+        pending_rows += rows.size
+        pending_width = max(pending_width, width)
+
+    def flush_bound() -> None:
+        nonlocal pending_rows, pending_width, n_bound, n_closed
+        if not pending:
+            return
+        width = pending_width
+
+        def stacked(i: int, fill: float) -> np.ndarray:
+            out = np.full((pending_rows, width), fill, dtype=pending[0][i].dtype)
+            r0 = 0
+            for piece in pending:
+                x = piece[i]
+                out[r0 : r0 + x.shape[0], : x.shape[1]] = x
+                r0 += x.shape[0]
+            return out
+
+        brows = np.concatenate([piece[0] for piece in pending])
+        cnt = np.concatenate([piece[4] for piece in pending])
+        om_k, cp_k, col_k = stacked(1, 0.0), stacked(2, 0.0), stacked(3, 0)
+        pending.clear()
+        pending_rows = pending_width = 0
         nb = brows.size
-        if nb == 0:
-            return 0, 0, 0
-        # Release the slack-scan temporaries before the bound stage: the
-        # chunk's peak live set — not any O(R x J) allocation — is what
-        # the kernel's memory budget consists of now.
-        del t_thr, ordt, tv, cps, cwv, cum, alloc_sorted, valid
-        if keep.all():
-            om_b, cp_b = om_a, cp_a
-            bw_b, W_b = bw_a, W_a
-        else:
-            om_b, cp_b = om_a[keep], cp_a[keep]
-            bw_b, W_b = bw_a[keep], W_a[keep]
-        sl_b = slope_of(brows)
+        W_k = W[brows].astype(np.float64, copy=False)
+        bw_k = bandwidths[brows]
         n_cf = 0
+        unsolved = brows
         if use_closed:
-            alloc_b, u_b, solved = _solve_bw_bound(
-                om_b, cp_b, sl_b, W_b, bw_b, two_s
-            )
-            srows = np.flatnonzero(solved)
-            if srows.size:
-                alloc_out[brows[srows]] = alloc_b[srows]
-                u_out[brows[srows]] = u_b[srows]
-            n_cf = int(srows.size)
-            if n_cf < nb:
-                un = ~solved
-                bisect_rows_legacy(
-                    brows[un], om_b[un], cp_b[un], sl_b[un], W_b[un], bw_b[un]
+            # The weight-structure test reads every item of the full rows,
+            # so fallback routing does not depend on the candidate
+            # restriction; the solve itself runs compact.
+            ok = np.empty(nb, dtype=bool)
+            m1s = np.empty(nb)
+            m2s = np.empty(nb)
+            for s0 in range(0, nb, chunk):
+                r = brows[s0 : s0 + chunk]
+                sl = slice(s0, s0 + chunk)
+                ok[sl], m1s[sl], m2s[sl] = _weight_groups(
+                    omega[r], caps[r], slope_of(r)
                 )
-        else:
-            bisect_rows_legacy(brows, om_b, cp_b, sl_b, W_b, bw_b)
-        return nb, n_cf, nb - n_cf
-
-    n_bound = n_closed = n_fallback = 0
-    for start in range(0, act.size, chunk):
-        nb, nc, nf = process(act[start : start + chunk])
+            lam_k = lam[brows[:, None], col_k]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sl_k = np.where(lam_k > 0, mu[brows[:, None], col_k] / lam_k, _INF)
+            del lam_k
+            alloc_k, u_k, solved = _solve_bw_bound(
+                om_k, cp_k, sl_k, W_k, bw_k, two_s, (ok, m1s, m2s)
+            )
+            e = np.flatnonzero((np.arange(width) < cnt[:, None]) & solved[:, None])
+            if e.size:
+                alloc_out[brows[e // width], col_k.ravel()[e]] = alloc_k.ravel()[e]
+            u_out[brows[solved]] = u_k[solved]
+            n_cf = int(solved.sum())
+            unsolved = brows[~solved]
+        # The legacy bisection runs on full rows, one chunk at a time.
+        for s0 in range(0, unsolved.size, chunk):
+            r = unsolved[s0 : s0 + chunk]
+            bisect_rows_legacy(
+                r, omega[r], caps[r], slope_of(r),
+                W[r].astype(np.float64, copy=False), bandwidths[r],
+            )
         n_bound += nb
-        n_closed += nc
-        n_fallback += nf
+        n_closed += n_cf
+
+    for start in range(0, act.size, chunk):
+        process(act[start : start + chunk])
+    flush_bound()
     if n_bound:
         inc("p2_bw_bound_rows", float(n_bound))
     if n_closed:
         inc("p2_bw_closed_form", float(n_closed))
-    if n_fallback:
-        inc("p2_bisection_fallbacks", float(n_fallback))
+    if n_bound > n_closed:
+        inc("p2_bisection_fallbacks", float(n_bound - n_closed))
     return alloc_out, u_out
+
+
+def _zero_extended_sum(a: FloatArray, width: int) -> FloatArray:
+    """Row sums of ``a`` as if each row were zero-extended to ``width``.
+
+    Bit for bit, without materializing the ``width``-wide rows. numpy sums
+    a contiguous row pairwise: above 128 elements it splits at half the
+    length rounded down to a multiple of 8 and adds the two halves. A half
+    made only of zeros sums to an exact ``+0.0``, which leaves the other
+    half's sum unchanged, so the zero tail can be cut back along that split
+    chain to the shortest prefix that still holds ``a``.
+    ``tests/test_batched.py`` pins this against full-width sums.
+    """
+    n, C = a.shape
+    w = width
+    while w > 128:
+        half = w // 2
+        half -= half % 8
+        if half < C:
+            break
+        w = half
+    if w == C:
+        return a.sum(axis=1)
+    buf = np.zeros((n, w))
+    buf[:, :C] = a
+    return buf.sum(axis=1)
+
+
+def _weight_groups(
+    om: FloatArray, cp: FloatArray, slope: FloatArray
+) -> tuple[np.ndarray, FloatArray, FloatArray]:
+    """Weight structure of full bound rows: ``(ok, m_high, m_low)``.
+
+    Items that can ever be routed have positive cap, positive weight and
+    finite slope (lam > 0). Items with infinite slope are never eligible
+    (kappa = -inf); items with non-positive weight are never eligible
+    unless their slope is negative — such "stray" rows are not
+    representable in the two-group structure. ``ok`` flags rows with at
+    most two distinct weights among the routable items and no stray item;
+    the others must take the bisection. Computed over *all* items of the
+    row, so the routing does not depend on the candidate restriction the
+    bound solve runs on.
+    """
+    valid = (cp > 0) & (om > 0) & np.isfinite(slope)
+    stray = (cp > 0) & (om <= 0) & (slope < 0)
+    with np.errstate(invalid="ignore"):
+        m1 = np.max(np.where(valid, om, -_INF), axis=1)  # high weight
+        m2 = np.min(np.where(valid, om, _INF), axis=1)  # low weight
+    has = np.isfinite(m1) & (m1 > 0)
+    m1s = np.where(has, m1, 1.0)
+    m2s = np.where(has, m2, 1.0)
+    third = valid & (om != m1s[:, None]) & (om != m2s[:, None])
+    ok = has & ~stray.any(axis=1) & ~third.any(axis=1)
+    return ok, m1s, m2s
 
 
 def _solve_bw_bound(
@@ -640,11 +842,14 @@ def _solve_bw_bound(
     W: FloatArray,
     bw: FloatArray,
     two_s: float,
+    groups: tuple[np.ndarray, FloatArray, FloatArray],
 ) -> tuple[FloatArray, FloatArray, np.ndarray]:
     """Exact allocation for bandwidth-bound rows (see module docstring).
 
     Parameters are row-stacked ``(A, J)`` arrays (weights, caps, slopes)
-    plus per-row ``W``, ``bw`` and the fused cost scale ``2 s``. Returns
+    plus per-row ``W``, ``bw``, the fused cost scale ``2 s`` and the
+    :func:`_weight_groups` of the full rows. The arrays may hold only each
+    row's candidate items (column order kept, zero-cap padding). Returns
     ``(alloc, u, solved)`` where ``solved`` flags the rows certified
     optimal; unsolved rows (``G >= 3`` weights, stray eligible items with
     non-positive weight, or a degenerate cross-group tie) keep zero
@@ -657,24 +862,10 @@ def _solve_bw_bound(
     if A == 0 or J == 0:
         return alloc, u, solved
 
-    # Items that can ever be routed: positive cap, positive weight, finite
-    # slope (lam > 0). Items with infinite slope are never eligible
-    # (kappa = -inf); items with non-positive weight are never eligible
-    # unless their slope is negative — such "stray" rows are not
-    # representable in the two-group structure and fall back.
-    finite = np.isfinite(slope)
-    valid = (cp > 0) & (om > 0) & finite
-    stray = (cp > 0) & (om <= 0) & (slope < 0)
-    with np.errstate(invalid="ignore"):
-        m1 = np.max(np.where(valid, om, -_INF), axis=1)  # high weight
-        m2 = np.min(np.where(valid, om, _INF), axis=1)  # low weight
-    has = np.isfinite(m1) & (m1 > 0)
-    m1s = np.where(has, m1, 1.0)
-    m2s = np.where(has, m2, 1.0)
-    third = valid & (om != m1s[:, None]) & (om != m2s[:, None])
-    ok = has & ~stray.any(axis=1) & ~third.any(axis=1)
+    ok, m1s, m2s = groups
     if not ok.any():
         return alloc, u, solved
+    valid = (cp > 0) & (om > 0) & np.isfinite(slope)
 
     ridx = np.arange(A)[:, None]
     rows1 = np.arange(A)
@@ -699,7 +890,7 @@ def _solve_bw_bound(
     valid_t = valid[ridx, ord0]
     gH = valid_t & (om_t == m1s[:, None])
     gL = valid_t & (om_t == m2s[:, None]) & (m2s < m1s)[:, None]
-    del om_t, valid_t, finite, valid, stray, third
+    del om_t, valid_t, valid
     Jm1 = J - 1
 
     def vgroup(g: np.ndarray) -> tuple:

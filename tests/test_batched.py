@@ -12,9 +12,11 @@ zero-cap padding rows of the SBS-major stacking are exercised.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import RuntimeConfig
 from repro.core.caching_lp import (
@@ -37,7 +39,8 @@ from repro.core.rounding import optimal_rounding_threshold, round_caching
 from repro.core.problem import JointProblem
 from repro.network import ContentCatalog, MUClass, Network, SmallBaseStation
 from repro.obs import Recorder, record_into
-from repro.optim.waterfill import waterfill_batch
+import repro.optim.waterfill as waterfill_mod
+from repro.optim.waterfill import _zero_extended_sum, waterfill_batch
 from repro.perf.solvecache import SolveCache
 
 BATCHED = RuntimeConfig(batched=True)
@@ -113,6 +116,38 @@ class TestP2Batched:
         assert np.array_equal(loop.y, batched.y)
         assert loop.objective == batched.objective
 
+    @settings(max_examples=15, deadline=None)
+    @given(dims, st.integers(1, 3), st.booleans())
+    def test_uniform_classes_bitwise(self, d, G, fixed_cache):
+        """With G contiguous classes per SBS the batched assembly is a pure
+        reshape; it must still equal the per-SBS loop bit for bit."""
+        seed, N, K, T, C = d
+        rng = np.random.default_rng(seed)
+        net = Network(
+            ContentCatalog(K),
+            tuple(SmallBaseStation(n, C, 1.5, 2.0) for n in range(N)),
+            tuple(
+                MUClass(m, m // G, float(rng.uniform(0.1, 1.0)))
+                for m in range(N * G)
+            ),
+        )
+        demand = rng.uniform(0.0, 3.0, size=(T, N * G, K))
+        demand *= rng.random(demand.shape) > 0.3
+        prob = JointProblem(network=net, demand=demand)
+        if fixed_cache:
+            x = np.zeros(prob.x_shape)
+            for t in range(T):
+                for n in range(N):
+                    x[t, n, rng.choice(K, size=C, replace=False)] = 1.0
+            loop = solve_y_given_x(prob, x, config=LOOPED)
+            batched = solve_y_given_x(prob, x, config=BATCHED)
+        else:
+            mu = _sparse_mu(rng, prob.y_shape)
+            loop = _solve_p2_fast(prob, mu, batched=False)
+            batched = _solve_p2_fast(prob, mu, batched=True)
+        assert np.array_equal(loop.y, batched.y)
+        assert loop.objective == batched.objective
+
     @settings(max_examples=8, deadline=None)
     @given(dims)
     def test_fista_bitwise(self, d):
@@ -126,6 +161,37 @@ class TestP2Batched:
         batched = _solve_p2_fista(prob, mu, batched=True)
         assert np.array_equal(loop.y, batched.y)
         assert loop.objective == batched.objective
+
+
+class TestClassSums:
+    """Per-SBS class sums equal the scatter-add they replace, bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(dims)
+    def test_matches_add_at_on_uneven_classes(self, d):
+        seed, N, K, T, C = d
+        rng = np.random.default_rng(seed)
+        net = _multi_network(rng, N=N, K=K, C=C)
+        M = net.num_classes
+        for shape in ((T, M, K), (T, M)):
+            values = rng.uniform(-3.0, 3.0, shape) * 10.0 ** rng.uniform(
+                -8, 8, shape
+            )
+            ref = np.zeros((T, N) + shape[2:])
+            np.add.at(ref, (slice(None), net.class_sbs), values)
+            assert np.array_equal(net.sum_classes_per_sbs(values), ref)
+        assert np.array_equal(class_prices(net, values[..., None]), ref[..., None])
+
+    def test_uniform_contiguous_classes_use_slices(self):
+        net = Network(
+            ContentCatalog(4),
+            tuple(SmallBaseStation(n, 1, 1.0, 1.0) for n in range(3)),
+            tuple(MUClass(m, m // 2, 1.0) for m in range(6)),
+        )
+        assert all(
+            isinstance(sbs, slice) and isinstance(cls, slice)
+            for sbs, cls in net.classes_by_rank
+        )
 
 
 def _row_objective(alloc, lam, omega, mu, W, scale):
@@ -207,6 +273,177 @@ class TestWaterfillKernel:
         assert np.array_equal(alloc[:, keep], alloc_c)
         assert np.array_equal(alloc[:, dead], np.zeros((R, dead.size)))
         assert np.array_equal(u, u_c)
+
+    # The kernel works on each row's candidate set (items with threshold
+    # t < W), bucketed by candidate count. The properties below pin that
+    # restriction and the bucketing as invisible.
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 12),
+        st.integers(2, 14),
+        st.integers(1, 10),
+        st.sampled_from([1, 2]),
+    )
+    def test_never_eligible_columns_inert(self, seed, R, J, extra, G):
+        """Appending items with t >= W (routable, but never worth routing)
+        changes no bit of the other columns, of u, or of the counters."""
+        rng = np.random.default_rng(seed)
+        lam, caps, omega, mu, W, bw = _mixed_stack(rng, R, J, G)
+        if lam.shape[0] == 0:
+            return
+        base, base_c = _counters(
+            lambda: waterfill_batch(lam, caps, omega, mu, W, bw, 1.0)
+        )
+        # The new items reuse each row's weights: the weight structure the
+        # bound stage routes on stays the same.
+        picks = rng.integers(0, J, (lam.shape[0], extra))
+        lam_x, caps_x, om_x, mu_x = _append_never_eligible(
+            rng, lam, caps, omega, mu, W, np.take_along_axis(omega, picks, 1)
+        )
+        wide, wide_c = _counters(
+            lambda: waterfill_batch(lam_x, caps_x, om_x, mu_x, W, bw, 1.0)
+        )
+        assert np.array_equal(wide[0][:, :J], base[0])
+        assert not wide[0][:, J:].any()
+        assert np.array_equal(wide[1], base[1])
+        assert wide_c == base_c
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 30), st.integers(2, 40))
+    def test_row_permutation_and_bucketing_invisible(self, seed, R, J):
+        """Permuting the rows permutes the outputs exactly, also when every
+        candidate-count class is its own bucket and the element budget
+        forces many chunks and bound-stage flushes."""
+        rng = np.random.default_rng(seed)
+        lam, caps, omega, mu, W, bw = _mixed_stack(rng, R, J, 2)
+        rows = lam.shape[0]
+        if rows == 0:
+            return
+        base, base_c = _counters(
+            lambda: waterfill_batch(lam, caps, omega, mu, W, bw, 1.0)
+        )
+        perm = rng.permutation(rows)
+        with mock.patch.object(waterfill_mod, "_BUCKET_MIN_ELEMS", 0), \
+                mock.patch.object(
+                    waterfill_mod, "_CHUNK_ELEMS", int(rng.integers(1, 4 * J))
+                ):
+            out, out_c = _counters(
+                lambda: waterfill_batch(
+                    lam[perm], caps[perm], omega[perm], mu[perm], W[perm],
+                    bw[perm], 1.0,
+                )
+            )
+        assert np.array_equal(out[0], base[0][perm])
+        assert np.array_equal(out[1], base[1][perm])
+        assert out_c == base_c
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(8, 40))
+    def test_wide_row_among_narrow_rows_matches_per_row_calls(self, seed, R, J):
+        """One row whose every item is a candidate, stacked with rows of
+        few candidates, returns what each row returns on its own."""
+        rng = np.random.default_rng(seed)
+        lam, caps, omega, mu, W, bw = _mixed_stack(rng, R, J, 2)
+        rows = lam.shape[0]
+        if rows == 0:
+            return
+        # Narrow rows: most items priced out of the fill.
+        priced = rng.random((rows, J)) < 0.8
+        priced[:, 0] = False
+        mu = np.where(priced, mu + 4.0 * lam * omega * W[:, None], mu)
+        # The wide row: every item capped and cheap (t << W).
+        i0 = int(rng.integers(rows))
+        caps[i0] = lam[i0] * rng.uniform(0.1, 1.0, J)
+        mu[i0] = 1e-3 * lam[i0] * omega[i0] * W[i0] * rng.uniform(0.1, 1.0, J)
+        alloc, u = waterfill_batch(lam, caps, omega, mu, W, bw, 1.0)
+        for r in range(rows):
+            one = slice(r, r + 1)
+            a_r, u_r = waterfill_batch(
+                lam[one], caps[one], omega[one], mu[one], W[one], bw[one], 1.0
+            )
+            assert np.array_equal(alloc[r], a_r[0])
+            assert u[r] == u_r[0]
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 12),
+        st.integers(2, 12),
+        st.integers(2, 6),
+    )
+    def test_third_weight_on_never_eligible_items_falls_back(
+        self, seed, R, J, extra
+    ):
+        """The weight-structure test reads the full row: a third weight on
+        items outside every candidate set still routes each bound row to
+        the bisection, counted, exactly as closed_form=False does."""
+        rng = np.random.default_rng(seed)
+        lam, caps, omega, mu, W, bw = _bound_stack(rng, R, J, 2)
+        rows = lam.shape[0]
+        if rows == 0:
+            return
+        # Two new weights above every existing one: each row then carries
+        # at least three distinct weights, two of them only on items that
+        # never enter the fill.
+        factor = np.where(np.arange(extra) % 2 == 0, 1.5, 2.5)
+        om_new = omega.max(axis=1)[:, None] * factor[None, :]
+        lam_x, caps_x, om_x, mu_x = _append_never_eligible(
+            rng, lam, caps, omega, mu, W, om_new
+        )
+        out, counters = _counters(
+            lambda: waterfill_batch(lam_x, caps_x, om_x, mu_x, W, bw, 1.0)
+        )
+        assert counters == {
+            "p2_bw_bound_rows": rows,
+            "p2_bw_closed_form": 0,
+            "p2_bisection_fallbacks": rows,
+        }
+        ref = waterfill_batch(
+            lam_x, caps_x, om_x, mu_x, W, bw, 1.0, closed_form=False
+        )
+        assert np.array_equal(out[0], ref[0])
+        assert np.array_equal(out[1], ref[1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 5000),
+        st.floats(0.0, 1.0),
+    )
+    def test_zero_extended_sum_is_the_full_width_sum(self, seed, width, frac):
+        """The compact ``closed`` test sums a candidate prefix as if it
+        were zero-extended to the full row; it must equal numpy's sum of
+        the full-width row bit for bit."""
+        rng = np.random.default_rng(seed)
+        C = max(1, int(frac * width))
+        a = rng.random((3, C)) * 10.0 ** rng.uniform(-6, 6, (3, C))
+        full = np.zeros((3, width))
+        full[:, :C] = a
+        assert np.array_equal(_zero_extended_sum(a, width), full.sum(axis=1))
+
+
+def _mixed_stack(rng, R, J, G):
+    """A bound stack with some rows relaxed back to bandwidth slack."""
+    lam, caps, omega, mu, W, bw = _bound_stack(rng, R, J, G)
+    bw = bw * rng.uniform(0.5, 4.0, lam.shape[0])
+    return lam, caps, omega, mu, W, bw
+
+
+def _append_never_eligible(rng, lam, caps, omega, mu, W, om_new):
+    """Append routable items whose threshold t = mu / (2 lam omega) is at
+    least 1.5 W (unit cost scale), so no residual r <= W admits them."""
+    shape = om_new.shape
+    lam_n = rng.exponential(1.0, shape) + 1e-3
+    caps_n = lam_n * rng.uniform(0.1, 1.0, shape)
+    mu_n = 2.0 * lam_n * om_new * W[:, None] * rng.uniform(1.5, 3.0, shape)
+    return (
+        np.hstack([lam, lam_n]),
+        np.hstack([caps, caps_n]),
+        np.hstack([omega, om_new]),
+        np.hstack([mu, mu_n]),
+    )
 
 
 class TestProjectionEarlyExit:
@@ -457,11 +694,16 @@ class TestBwBoundClosedForm:
         st.sampled_from([1, 2]),
         st.floats(0.05, 0.95),
     )
+    # A flat optimum: zero-slope items finish the offload (residual 0)
+    # inside the budget, so the budget multiplier is 0 and the row is not
+    # tight.
+    @example(seed=6, R=17, J=6, G=2, bw_frac=0.75)
     def test_feasible_tight_and_never_worse(self, seed, R, J, G, bw_frac):
-        """On an all-bound stack the closed form stays feasible, exhausts
-        the budget (complementary slackness: the bound multiplier is
-        positive, so the constraint is tight), and is never worse than a
-        deep bisection beyond the 1e-9 relative envelope."""
+        """On an all-bound stack the closed form stays feasible, satisfies
+        complementary slackness (every row either exhausts the budget or
+        has reached zero marginal cost, where the budget multiplier may be
+        0), and is never worse than a deep bisection beyond the 1e-9
+        relative envelope."""
         rng = np.random.default_rng(seed)
         lam, caps, omega, mu, W, bw = _bound_stack(rng, R, J, G, bw_frac)
         if lam.shape[0] == 0:
@@ -483,14 +725,22 @@ class TestBwBoundClosedForm:
         assert (alloc <= caps * (1 + 1e-12) + 1e-12).all()
         sums = alloc.sum(axis=1)
         assert (sums <= bw * (1 + 1e-9) + 1e-12).all()
-        # Complementary slackness: the unconstrained fill strictly exceeds
-        # bw, so the budget multiplier is positive and the optimum sits on
-        # the hyperplane. Closed-form rows are exact; when a fallback row
-        # is present its bisection is tight only to its bracket width.
-        if counters["p2_bisection_fallbacks"] == 0:
-            assert (sums >= bw * (1 - 1e-9) - 1e-12).all()
-        else:
-            assert (sums >= bw * (1 - 1e-6) - 1e-9).all()
+        # Complementary slackness: a row whose budget multiplier is
+        # positive sits on the hyperplane. The multiplier can be 0 only
+        # when no item with spare capacity has a positive margin
+        # 2 s r omega_j - slope_j (r = W - u): the row has reached zero
+        # marginal cost. Closed-form rows are exact; when a fallback row is
+        # present its bisection is exact only to its bracket width.
+        tol = 1e-9 if counters["p2_bisection_fallbacks"] == 0 else 1e-6
+        residual = W - (omega * alloc).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.where(lam > 0, mu / lam, np.inf)
+        margin = 2.0 * residual[:, None] * omega - slope
+        room = alloc < caps
+        scale = 2.0 * np.maximum(1.0, np.abs(W)) * omega.max(axis=1)
+        flat = ~(room & (margin > tol * scale[:, None])).any(axis=1)
+        tight = sums >= bw * (1 - tol) - tol * 1e-3
+        assert (tight | flat).all()
         deep, _ = waterfill_batch(
             lam, caps, omega, mu, W, bw, 1.0,
             closed_form=False, bisection_iters=60,
