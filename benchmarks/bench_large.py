@@ -3,8 +3,8 @@
 ``N = 500`` SBSs, ``K = 10,000`` contents, ``M = 1,000`` MU classes with a
 multiplicity of ~1,000 users per class (~1e6 users total; a class's demand
 density is the aggregate of its users' request rates, which is exactly how
-the paper's demand model composes). This instance is out of reach for the
-per-SBS loop paths: one min-cost-flow ``P1`` solve at ``K = 10,000`` costs
+the paper's demand model composes). This instance is out of reach for
+per-SBS solving: one min-cost-flow ``P1`` solve at ``K = 10,000`` costs
 seconds, and Algorithm 1 needs 500 of them per subgradient iteration. The
 batched certificate kernel answers all 500 in one vectorized pass, and the
 stacked ``P2`` water-fill replaces 500 per-SBS solves with one.
@@ -20,9 +20,10 @@ Three legs, each timed into ``BENCH_large.json``:
   ``(R, J)`` bracket-state arrays (tracemalloc, measured beyond the
   output arrays).
 - ``p1_batched``: one ``solve_caching`` over all 500 SBSs with sparse
-  hot-set prices, plus the loop path on a small subsample to measure the
-  per-SBS cost it replaces (the full loop run is the infeasible case —
-  its projected time is reported, not measured).
+  hot-set prices, plus the per-SBS exact backend (``_solve_sbs_task``) on
+  a small subsample to measure the per-SBS cost it replaces (the full
+  per-SBS run is the infeasible case — its projected time is reported,
+  not measured).
 - ``mini_alg1``: two full subgradient iterations of Algorithm 1 on the
   true demand — every stage (P1, P2, rounding, the fixed-cache oracle)
   at scale.
@@ -43,8 +44,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.config import RuntimeConfig, resolved_batched_ties
-from repro.core.caching_lp import solve_caching
+from repro.core.caching_lp import _solve_sbs_task, class_prices, solve_caching
 from repro.core.load_balancing import solve_p2
 from repro.core.primal_dual import solve_primal_dual
 from repro.core.problem import JointProblem
@@ -70,8 +70,8 @@ CACHE_SIZE = 12
 BETA = 4.0
 BANDWIDTH = 2.0  # ~half the mean offered load: the paper's overload regime
 HOT_ITEMS = 5
-LOOP_SAMPLE = 4  # SBSs measured on the loop path (the full 500 is the
-# infeasible case this bench exists to document)
+LOOP_SAMPLE = 4  # SBSs measured on the per-SBS backend (the full 500 is
+# the infeasible case this bench exists to document)
 
 _COUNTERS = (
     "p1_memo_misses",
@@ -85,7 +85,7 @@ _P2_COUNTERS = ("p2_bw_bound_rows", "p2_bw_closed_form", "p2_bisection_fallbacks
 def _p2_row_stack(problem):
     """The exact SBS-major row stack ``solve_p2`` feeds the kernel.
 
-    Mirrors ``_solve_p2_fast_batched``'s assembly (uncapped: ``caps = lam``)
+    Mirrors ``_solve_p2_fast``'s stacked assembly (uncapped: ``caps = lam``)
     so the A/B leg below times the kernel on the true workload rows rather
     than a synthetic stand-in. Every SBS here has the same class count, so
     the stack has no padding columns.
@@ -276,36 +276,35 @@ def test_large_scale(save_report):
         == p1_counters["p1_memo_misses"]
         == NUM_SBS
     )
-    # With the tie-aware acceptance on (the default), the relaxed pass plus
-    # the exact capped kernel must answer (essentially) the whole stack —
-    # the per-SBS flow loop at K = 10,000 is exactly what this scale cannot
-    # afford to fall back to.
-    if resolved_batched_ties(None):
-        assert p1_counters["p1_batched_fallbacks"] <= 0.05 * NUM_SBS, (
-            f"{p1_counters['p1_batched_fallbacks']:.0f} of {NUM_SBS} SBSs "
-            "fell back to the per-SBS backends with batched_ties on"
-        )
+    # The relaxed pass plus the exact capped kernel must answer
+    # (essentially) the whole stack — the per-SBS flow backend at
+    # K = 10,000 is exactly what this scale cannot afford to fall back to.
+    assert p1_counters["p1_batched_fallbacks"] <= 0.05 * NUM_SBS, (
+        f"{p1_counters['p1_batched_fallbacks']:.0f} of {NUM_SBS} SBSs "
+        "fell back to the per-SBS backends"
+    )
 
-    # The loop path on a subsample, to price what the batch replaced. The
-    # subnetwork is a prefix slice, so SBS/class ids keep their positions.
-    sub = Network(
-        network.catalog,
-        network.sbss[:LOOP_SAMPLE],
-        network.mu_classes[: LOOP_SAMPLE * CLASSES_PER_SBS],
-    )
+    # The per-SBS exact backend on a subsample, to price what the batch
+    # replaced.
+    prices = class_prices(network, mu_p1)
     started = time.perf_counter()
-    loop = solve_caching(
-        sub,
-        mu_p1[:, : LOOP_SAMPLE * CLASSES_PER_SBS, :],
-        x0[:LOOP_SAMPLE],
-        backend="flow",
-        config=RuntimeConfig(batched=False),
-    )
+    loop = [
+        _solve_sbs_task(
+            (
+                prices[:, n, :],
+                float(network.replacement_costs[n]),
+                int(network.cache_sizes[n]),
+                x0[n],
+                "flow",
+            )
+        )
+        for n in range(LOOP_SAMPLE)
+    ]
     loop_sample_seconds = time.perf_counter() - started
     loop_projected_seconds = loop_sample_seconds / LOOP_SAMPLE * NUM_SBS
-    # Same answer, both granularities (the subsample is exactly the first
-    # LOOP_SAMPLE coordinates of the batched solve).
-    assert np.array_equal(loop.x, p1.x[:, :LOOP_SAMPLE, :])
+    # Same answer, both granularities.
+    for n, (x_n, _) in enumerate(loop):
+        assert np.array_equal(x_n, p1.x[:, n, :])
 
     # ---- leg 3: two full subgradient iterations of Algorithm 1.
     alg1_recorder = Recorder()
@@ -332,9 +331,6 @@ def test_large_scale(save_report):
     payload = {
         "bench": "large",
         "scale": "large",
-        "batched": True,
-        "batched_ties": resolved_batched_ties(None),
-        "bw_closed_form": True,
         "workload": {
             "num_sbs": NUM_SBS,
             "num_items": NUM_ITEMS,
@@ -413,7 +409,7 @@ def test_large_scale(save_report):
         f"({speedup_vs_legacy:.1f}x); state {state_bytes / 1e6:.0f} MB vs "
         f"seed floor {seed_floor_bytes / 1e6:.0f} MB "
         f"({seed_floor_bytes / max(state_bytes, 1):.1f}x)",
-        f"  P1 batched (500)    {p1_seconds:8.1f}s   vs projected loop "
+        f"  P1 batched (500)    {p1_seconds:8.1f}s   vs projected per-SBS "
         f"{loop_projected_seconds:.0f}s "
         f"({loop_projected_seconds / max(p1_seconds, 1e-9):.0f}x)",
         f"  Alg.1, 2 iterations {alg1_seconds:8.1f}s   "

@@ -24,7 +24,6 @@ Fault injection::
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable, Sequence
 
 from repro.baselines import BeladyVolume, FIFO, LFU, LRFU, LRU, NoCache, StaticTopK
@@ -141,52 +140,14 @@ from repro.workload.trace import sample_poisson_trace
 #: Sweepable axes of :func:`sweep`, mapped to the figure functions.
 SWEEP_AXES = ("beta", "window", "bandwidth", "noise")
 
-#: Names slated for removal and the release that drops them; each warns
-#: once per process when first called. Current window: deprecated names
-#: survive two further releases after the deprecating one.
-DEPRECATED_API = {"replay_trace": "v1.2"}
-
-_DEPRECATION_WARNED: set[str] = set()
-
-
-def _warn_deprecated(name: str, replacement: str) -> None:
-    if name in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(name)
-    warnings.warn(
-        f"repro.api.{name} is deprecated and will be removed in "
-        f"{DEPRECATED_API[name]}; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def reset_api_deprecations() -> None:
-    """Forget which deprecated names have warned (test isolation helper)."""
-    _DEPRECATION_WARNED.clear()
-
-
 def replay_plan(*args: object, **kwargs: object) -> ReplayReport:
     """Batch-replay an integer request trace against a committed plan.
 
-    The supported name for what used to leak through the facade as
-    ``replay_trace`` — the serve layer (:func:`run_serve`) is the live
-    counterpart; this is the offline one-shot. Accepts the same arguments
+    The serve layer (:func:`run_serve`) is the live counterpart; this is
+    the offline one-shot. Accepts the same arguments
     as :func:`repro.sim.discrete.replay_trace` (network, trace, x, y,
     plus ``x_initial`` / ``stochastic`` / cost-shape keywords).
     """
-    return _replay_trace(*args, **kwargs)  # type: ignore[arg-type]
-
-
-def replay_trace(*args: object, **kwargs: object) -> ReplayReport:
-    """Deprecated alias of :func:`replay_plan` (removal: see DEPRECATED_API).
-
-    The serve layer supersedes this entry point's "replay a stream"
-    role: use :func:`replay_plan` for one-shot batch replay or
-    :func:`run_serve` / :func:`serve_requests` for live request-path
-    replay with plan re-solves.
-    """
-    _warn_deprecated("replay_trace", "repro.api.replay_plan or repro.api.run_serve")
     return _replay_trace(*args, **kwargs)  # type: ignore[arg-type]
 
 
@@ -314,7 +275,6 @@ __all__ = [
     "cost_ratios",
     "solve_primal_dual",
     "replay_plan",
-    "replay_trace",  # deprecated alias of replay_plan (DEPRECATED_API)
     # serving runtime
     "Decision",
     "HealthScoreStrategy",
@@ -333,7 +293,6 @@ __all__ = [
     "serve_requests",
     "strategy_by_name",
     "write_decision_log",
-    "DEPRECATED_API",
     # sweeps and reports
     "SWEEP_AXES",
     "SweepResult",

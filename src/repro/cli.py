@@ -314,8 +314,8 @@ def _cmd_bench_diff(args: argparse.Namespace) -> dict | None:
     ``--threshold`` (default 10%). With differing digests the runs are not
     comparable, so timings are reported but never gated. ``--gate-costs``
     additionally fails the diff on any cost drift, regardless of digests —
-    the gate for strategy A/Bs (batched off/on, executor changes) that
-    must reproduce bit-identical costs.
+    the gate for changes (a refactor, an executor change) that must
+    reproduce bit-identical costs.
     """
     from repro.perf.benchdiff import diff_bench, load_bench, render_bench_diff
 
@@ -571,8 +571,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--gate-costs",
         action="store_true",
         help="also fail on any cost drift between the records (works across "
-        "differing config digests — the strategy A/B gate: e.g. batched "
-        "off/on must reproduce identical costs)",
+        "differing config digests — e.g. a refactor or an executor change "
+        "must reproduce identical costs)",
     )
 
     pz = sub.add_parser(

@@ -1,80 +1,33 @@
 """Runtime configuration: one typed object instead of scattered env reads.
 
-Historically four environment variables steered the runtime — worker count
-(``REPRO_WORKERS``), executor kind (``REPRO_EXECUTOR``), the ``auto``
-caching-backend pin (``REPRO_CACHING_BACKEND``) and the flow-graph-reuse
-kill switch (``REPRO_FLOW_REUSE``). :class:`RuntimeConfig` replaces them
-with an explicit argument accepted across the library and by every
-:mod:`repro.api` entry point.
+:class:`RuntimeConfig` carries the runtime knobs — executor and worker
+count, the incremental re-solve layer, and the serve runtime's settings —
+as an explicit argument accepted across the library and by every
+:mod:`repro.api` entry point. Solver paths are not configurable: each
+subproblem has one production path (DESIGN.md §7).
 
 Precedence, everywhere a knob is consulted: **explicit argument >
-environment > built-in default**. The environment variables keep working
-as deprecated fallbacks so existing scripts do not break, but each one
-triggers a :class:`DeprecationWarning` the first time it is actually read
-in a process — exactly once per variable, never once per solve.
+``RuntimeConfig`` field > environment > built-in default**. Only the
+variables named in this module are read: ``REPRO_INCREMENTAL`` and the
+serve/telemetry fallbacks below.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
 
-#: Deprecated environment fallbacks (see module docstring).
-WORKERS_ENV = "REPRO_WORKERS"
-EXECUTOR_ENV = "REPRO_EXECUTOR"
-BACKEND_ENV = "REPRO_CACHING_BACKEND"
-FLOW_REUSE_ENV = "REPRO_FLOW_REUSE"
-
-#: Supported (non-deprecated) switch for the incremental re-solve layer —
-#: CI uses it to A/B the layer without touching call sites, so unlike the
-#: variables above it does not warn. ``0`` disables; anything else enables.
+#: Switch for the incremental re-solve layer. ``0`` disables; anything
+#: else enables. Unlike a pure performance knob it may change
+#: online-policy costs (cross-window warm candidates steer the ascent).
 INCREMENTAL_ENV = "REPRO_INCREMENTAL"
 
-#: Supported switch for the batched (vectorized) solve core — the stacked
-#: ``P1`` certificate kernel and the all-SBS ``P2`` water-fill. CI A/Bs it
-#: like :data:`INCREMENTAL_ENV`, so it does not warn. ``0`` disables.
-BATCHED_ENV = "REPRO_BATCHED"
-
-#: Supported switch for the tie-aware acceptance rule of the batched ``P1``
-#: certificate pass (default on). ``REPRO_BATCHED_TIES=0`` restores the
-#: strict-margin certificate — tie-degenerate rows fall back to the per-SBS
-#: backends — without changing any cost: the per-SBS backends resolve ties
-#: canonically either way, so CI A/Bs this switch under ``--gate-costs``.
-BATCHED_TIES_ENV = "REPRO_BATCHED_TIES"
-
-#: Supported switch for the closed-form bandwidth-bound ``P2`` water-fill
-#: (default on). ``REPRO_BW_CLOSED_FORM=0`` routes every bandwidth-bound
-#: row through the legacy bisection instead — the A/B reference path CI
-#: uses to gate cost drift — so like the switches above it does not warn.
-BW_CLOSED_FORM_ENV = "REPRO_BW_CLOSED_FORM"
-
-#: Supported override for the legacy bisection depth (the bandwidth-bound
-#: A/B reference in :mod:`repro.optim.waterfill` and the capped-block
-#: projection). Precedence: explicit argument > ``RuntimeConfig`` field >
-#: env > :data:`DEFAULT_BISECTION_ITERS`.
-BISECTION_ITERS_ENV = "REPRO_BISECTION_ITERS"
-
-#: Historical bisection depth: 26 iterations bracket the residual to
-#: ``~2^-26`` relative accuracy.
-DEFAULT_BISECTION_ITERS = 26
-
-#: Supported opt-in switch for the quantized ``P1`` memo key (see
-#: :func:`repro.perf.solvecache.p1_quantized_digest`). Unset or ``0``
-#: keeps the byte-exact digest; any other value enables quantization.
-#: Measured on the headline-quick leg (EXPERIMENTS.md): the quantized key
-#: adds no hits there — drifting-``mu`` iterations move prices by far more
-#: than the 1e-9 band — so the byte-exact default stands; enable it only
-#: for workloads with near-stationary prices.
-QUANTIZED_MEMO_ENV = "REPRO_QUANTIZED_MEMO"
-
-#: Supported environment fallbacks for the serve runtime (:mod:`repro.serve`).
-#: Like the switches above they are part of the supported surface — CI and
-#: deployment wrappers set them — so they do not warn. Precedence at every
-#: consultation point: explicit argument > ``RuntimeConfig`` field > env >
-#: built-in default (see the ``resolved_serve_*`` helpers).
+#: Environment fallbacks for the serve runtime (:mod:`repro.serve`); CI and
+#: deployment wrappers set them. Precedence at every consultation point:
+#: explicit argument > ``RuntimeConfig`` field > env > built-in default
+#: (see the ``resolved_serve_*`` helpers).
 SERVE_RPS_ENV = "REPRO_SERVE_RPS"
 SERVE_ADMISSION_ENV = "REPRO_SERVE_ADMISSION"
 SERVE_QUEUE_DEPTH_ENV = "REPRO_SERVE_QUEUE_DEPTH"
@@ -92,98 +45,27 @@ DEFAULT_SERVE_ADMISSION = "queue"
 DEFAULT_SERVE_QUEUE_DEPTH = 256
 DEFAULT_SERVE_SLOT_SECONDS = 0.25
 
-_WARNED: set[str] = set()
-
-
-def deprecated_env(name: str) -> str | None:
-    """Read a deprecated environment fallback, warning once per variable.
-
-    Returns ``None`` (silently) when the variable is unset or empty —
-    the warning fires only for users actually relying on the fallback.
-    """
-    value = os.environ.get(name)
-    if not value:
-        return None
-    if name not in _WARNED:
-        _WARNED.add(name)
-        warnings.warn(
-            f"{name} is deprecated; pass RuntimeConfig("
-            f"{_FIELD_OF[name]}=...) to the repro.api entry points instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return value
-
-
-_FIELD_OF = {
-    WORKERS_ENV: "workers",
-    EXECUTOR_ENV: "executor",
-    BACKEND_ENV: "caching_backend",
-    FLOW_REUSE_ENV: "flow_reuse",
-}
-
-
-def reset_deprecation_warnings() -> None:
-    """Forget which fallbacks have warned (test isolation helper)."""
-    _WARNED.clear()
-
 
 @dataclass(frozen=True)
 class RuntimeConfig:
     """Explicit runtime knobs for solves, sweeps and benchmarks.
 
     Every field defaults to ``None`` — "not specified" — in which case the
-    deprecated environment fallback and then the built-in default apply.
+    environment fallback (where one exists) and then the built-in default
+    apply.
 
     Parameters
     ----------
     executor:
-        Executor spec, e.g. ``"serial"``, ``"thread"``, ``"process:4"``
-        (formerly ``REPRO_EXECUTOR``).
+        Executor spec, e.g. ``"serial"``, ``"thread"``, ``"process:4"``.
     workers:
-        Worker count for parallel fan-outs (formerly ``REPRO_WORKERS``);
-        overrides a count embedded in ``executor``.
-    caching_backend:
-        Pin for the ``auto`` ``P1`` backend choice: ``"flow"``, ``"lp"``
-        or ``"lp-simplex"`` (formerly ``REPRO_CACHING_BACKEND``). Explicit
-        ``backend=`` arguments at call sites still win.
-    flow_reuse:
-        Whether the flow backend pools built graphs across same-shape
-        solves (formerly ``REPRO_FLOW_REUSE``; default on).
+        Worker count for parallel fan-outs; overrides a count embedded in
+        ``executor``.
     incremental:
         Whether the incremental re-solve layer is active (default on):
-        per-SBS ``P1`` memoization, warm-resumed min-cost flow, and
-        cross-window warm-candidate seeding in the online controllers.
-        ``REPRO_INCREMENTAL=0`` is the supported environment override.
-    batched:
-        Whether the batched solve core is active (default on): the stacked
-        ``P1`` certificate kernel with per-SBS fallback and the all-SBS
-        ``P2`` water-fill with certificate early exit. ``REPRO_BATCHED=0``
-        is the supported environment override.
-    batched_ties:
-        Whether the batched ``P1`` pass accepts tie-degenerate relaxed
-        optima via the tie-aware exact certificate (default on).
-        ``REPRO_BATCHED_TIES=0`` restores the strict-margin certificate,
-        so degenerate rows fall back to the per-SBS backends; costs are
-        unaffected either way (the per-SBS backends resolve ties with the
-        same canonical discipline), which is what makes the CI off/on A/B
-        gateable bit-for-bit.
-    quantized_memo:
-        Opt-in quantized ``P1`` memo key (default off): prices are rounded
-        to a tolerance band before digesting so drifting-``mu`` iterations
-        can share memo entries; objectives are recomputed for the actual
-        prices on every quantized hit. ``REPRO_QUANTIZED_MEMO=1`` is the
-        environment override. Measured on the headline leg it buys nothing
-        (see EXPERIMENTS.md), hence off by default.
-    bw_closed_form:
-        Whether bandwidth-bound ``P2`` rows are solved by the exact
-        closed-form parametric path (default on) or by the legacy
-        bisection reference. ``REPRO_BW_CLOSED_FORM=0`` is the supported
-        environment override; CI uses it for cost-drift A/B runs.
-    bisection_iters:
-        Depth of the legacy residual bisection (the bandwidth-bound A/B
-        reference and the capped-block projection fallback; default 26).
-        ``REPRO_BISECTION_ITERS`` is the environment override.
+        the per-SBS ``P1`` memo and cross-window warm-candidate seeding in
+        the online controllers. ``REPRO_INCREMENTAL=0`` is the environment
+        override.
     serve_rps:
         Open-loop arrival rate for the serve runtime (requests/second;
         default 200). ``REPRO_SERVE_RPS`` is the environment override.
@@ -213,14 +95,7 @@ class RuntimeConfig:
 
     executor: str | None = None
     workers: int | None = None
-    caching_backend: str | None = None
-    flow_reuse: bool | None = None
     incremental: bool | None = None
-    batched: bool | None = None
-    batched_ties: bool | None = None
-    quantized_memo: bool | None = None
-    bw_closed_form: bool | None = None
-    bisection_iters: int | None = None
     serve_rps: float | None = None
     serve_admission: str | None = None
     serve_queue_depth: int | None = None
@@ -231,19 +106,6 @@ class RuntimeConfig:
     def __post_init__(self) -> None:
         if self.workers is not None and self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
-        if self.caching_backend is not None and self.caching_backend not in (
-            "flow",
-            "lp",
-            "lp-simplex",
-        ):
-            raise ConfigurationError(
-                "caching_backend must be flow, lp, or lp-simplex; "
-                f"got {self.caching_backend!r}"
-            )
-        if self.bisection_iters is not None and self.bisection_iters < 1:
-            raise ConfigurationError(
-                f"bisection_iters must be >= 1, got {self.bisection_iters}"
-            )
         if self.serve_rps is not None and not self.serve_rps > 0:
             raise ConfigurationError(
                 f"serve_rps must be > 0, got {self.serve_rps}"
@@ -280,89 +142,11 @@ class RuntimeConfig:
             parse_slo_specs(self.obs_slo)
 
 
-def resolved_backend_pin(config: RuntimeConfig | None) -> str | None:
-    """The ``auto``-backend pin: config field, else deprecated env, else none."""
-    if config is not None and config.caching_backend is not None:
-        return config.caching_backend
-    env = deprecated_env(BACKEND_ENV)
-    if env is not None and env not in ("flow", "lp", "lp-simplex"):
-        raise ConfigurationError(
-            f"{BACKEND_ENV} must be flow, lp, or lp-simplex; got {env!r}"
-        )
-    return env
-
-
-def resolved_flow_reuse(config: RuntimeConfig | None) -> bool:
-    """Flow-graph reuse: config field, else deprecated env, else on."""
-    if config is not None and config.flow_reuse is not None:
-        return config.flow_reuse
-    env = deprecated_env(FLOW_REUSE_ENV)
-    return env != "0"
-
-
 def resolved_incremental(config: RuntimeConfig | None) -> bool:
     """Incremental re-solve layer: config field, else env, else on."""
     if config is not None and config.incremental is not None:
         return config.incremental
     return os.environ.get(INCREMENTAL_ENV, "") != "0"
-
-
-def resolved_batched(config: RuntimeConfig | None) -> bool:
-    """Batched solve core: config field, else env, else on."""
-    if config is not None and config.batched is not None:
-        return config.batched
-    return os.environ.get(BATCHED_ENV, "") != "0"
-
-
-def resolved_batched_ties(config: RuntimeConfig | None) -> bool:
-    """Tie-aware batched ``P1`` acceptance: config field, else env, else on."""
-    if config is not None and config.batched_ties is not None:
-        return config.batched_ties
-    return os.environ.get(BATCHED_TIES_ENV, "") != "0"
-
-
-def resolved_quantized_memo(config: RuntimeConfig | None) -> bool:
-    """Quantized ``P1`` memo key: config field, else env, else off."""
-    if config is not None and config.quantized_memo is not None:
-        return config.quantized_memo
-    return os.environ.get(QUANTIZED_MEMO_ENV, "") == "1"
-
-
-def resolved_bw_closed_form(
-    config: RuntimeConfig | None, arg: bool | None = None
-) -> bool:
-    """Closed-form bandwidth-bound path: arg, else config, else env, else on."""
-    if arg is not None:
-        return bool(arg)
-    if config is not None and config.bw_closed_form is not None:
-        return config.bw_closed_form
-    return os.environ.get(BW_CLOSED_FORM_ENV, "") != "0"
-
-
-def resolved_bisection_iters(
-    config: RuntimeConfig | None, arg: int | None = None
-) -> int:
-    """Legacy bisection depth: arg, else config, else env, else 26."""
-    if arg is not None:
-        if arg < 1:
-            raise ConfigurationError(f"bisection iters must be >= 1, got {arg}")
-        return int(arg)
-    if config is not None and config.bisection_iters is not None:
-        return config.bisection_iters
-    raw = os.environ.get(BISECTION_ITERS_ENV)
-    if raw:
-        try:
-            env = int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"{BISECTION_ITERS_ENV} must be an integer, got {raw!r}"
-            ) from None
-        if env < 1:
-            raise ConfigurationError(
-                f"{BISECTION_ITERS_ENV} must be >= 1, got {env}"
-            )
-        return env
-    return DEFAULT_BISECTION_ITERS
 
 
 def _serve_env_float(name: str) -> float | None:

@@ -8,13 +8,21 @@ Given the dual prices ``mu``, ``P1`` decomposes per SBS into
 
 with ``c[t,k] = sum_{m in n} mu[t,m,k]`` (Eqs. 20-22). Theorem 1 proves the
 constraint matrix totally unimodular, so the LP relaxation has an integral
-optimum. Two exact backends are provided:
+optimum.
+
+:func:`solve_caching` is the one front door. Every SBS subproblem is
+answered by the first of: the digest-exact memo
+(:class:`repro.perf.solvecache.SolveCache`), the batched pass over all
+memo misses (the vectorized relaxed DP, then the cap-constrained cancel
+kernel of :mod:`repro.core.capped`), and a per-SBS exact backend for the
+rows neither kernel certifies:
 
 - ``"flow"`` (default): the LP *is* a min-cost flow in which each of the
   ``C_n`` cache slots is one unit of flow travelling through time — idling
   between hub nodes for free, or detouring through a content's per-slot
   node chain (paying ``beta_n`` to enter, collecting ``c[t,k]`` per slot
-  held). Integrality is automatic and the solve is combinatorial.
+  held). Integrality is automatic and the solve is combinatorial; each
+  solve is a cold start on a pooled graph of its shape.
 - ``"lp"``: the sparse LP of Eqs. 20-22 via :func:`repro.optim.solve_lp`
   (HiGHS or the in-house simplex); near-integral vertices are snapped and
   verified. Used to cross-check the flow backend.
@@ -30,24 +38,15 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse
 
-from repro.config import (
-    BACKEND_ENV,
-    FLOW_REUSE_ENV,
-    RuntimeConfig,
-    resolved_backend_pin,
-    resolved_batched,
-    resolved_batched_ties,
-    resolved_flow_reuse,
-    resolved_quantized_memo,
-)
+from repro.config import RuntimeConfig
 from repro.core.capped import capped_cancel_stack
 from repro.exceptions import ConfigurationError, SolverError
 from repro.network.topology import Network
 from repro.obs.recorder import inc
 from repro.optim.linprog import solve_lp
-from repro.optim.mincostflow import FlowState, MinCostFlow
+from repro.optim.mincostflow import MinCostFlow
 from repro.perf.executor import Executor, resolve_executor
-from repro.perf.solvecache import SolveCache, p1_digest, p1_quantized_digest
+from repro.perf.solvecache import SolveCache, p1_digest
 from repro.types import FloatArray, is_binary
 
 CachingBackend = Literal["auto", "flow", "lp", "lp-simplex"]
@@ -61,23 +60,14 @@ CachingBackend = Literal["auto", "flow", "lp", "lp-simplex"]
 #: ``cap = 5`` the two backends are within ~10% of each other over
 #: 3000-5000 cells (flow clearly ahead below ~1500); at ``cap >= 10`` HiGHS
 #: wins from ~2000 cells. The cell count stays the rule's proxy because it
-#: is what callers know cheaply; pin :data:`BACKEND_ENV` to override.
+#: is what callers know cheaply; pass an explicit ``backend=`` to override.
 AUTO_FLOW_LIMIT = 5000
 
-def resolve_backend(
-    backend: CachingBackend, cells: int, *, config: RuntimeConfig | None = None
-) -> str:
-    """Resolve ``auto``: config pin, deprecated env pin, or the cell rule.
 
-    Explicit non-``auto`` backends always win. The pin comes from
-    :class:`repro.config.RuntimeConfig` (``caching_backend``) with the
-    deprecated ``REPRO_CACHING_BACKEND`` variable as a fallback.
-    """
+def resolve_backend(backend: CachingBackend, cells: int) -> str:
+    """Resolve ``auto`` by the cell rule; explicit backends always win."""
     if backend != "auto":
         return backend
-    pin = resolved_backend_pin(config)
-    if pin is not None:
-        return pin
     return "flow" if cells <= AUTO_FLOW_LIMIT else "lp"
 
 
@@ -117,36 +107,26 @@ def solve_caching(
     ``x_initial`` is the 0/1 cache state entering the first slot, shape
     ``(N, K)``; insertions in the first slot are charged against it.
 
-    ``P1`` is exactly separable per SBS, so with an ``executor`` (or a
-    :class:`repro.config.RuntimeConfig`, or the deprecated
-    ``REPRO_WORKERS`` / ``REPRO_EXECUTOR`` environment) the per-SBS solves
-    fan out in parallel; results are reduced in SBS order, bit-identical
-    to the serial path. All runtime knobs — including flow-graph reuse —
-    are resolved here in the parent, so worker processes never consult the
-    environment.
+    ``P1`` is exactly separable per SBS. Each SBS goes through one front
+    door, in order:
 
-    With a :class:`repro.perf.solvecache.SolveCache` the per-SBS solves
-    become incremental: byte-identical subproblems are answered from the
-    digest-exact memo without solving, and flow-backend misses resume the
-    SBS's previous flow instead of cold-starting. All cache bookkeeping
-    (memo lookups, counter increments, warm-state handoff) happens here in
-    the parent, so results and recorded telemetry stay bit-identical
-    across executors.
+    1. the digest-exact **memo** of a :class:`repro.perf.solvecache.SolveCache`
+       (when given): byte-identical subproblems are answered without
+       solving;
+    2. the **batched pass** over every miss at once
+       (:func:`_solve_batched_p1`): the relaxed DP plus the capped cancel
+       kernel — counted as ``p1_batched_solves`` / ``p1_batched_capped``;
+    3. the **per-SBS exact backend** (``backend``: flow, HiGHS LP or the
+       in-house simplex; a cold solve on a pooled graph) for the rows
+       neither kernel certifies — counted as ``p1_batched_fallbacks``.
 
-    Two further runtime knobs compose with the memo:
-
-    - the **batched relaxation pass** (``RuntimeConfig(batched=...)``,
-      default on) answers memo misses whose cardinality-relaxed optimum
-      is provably unique and feasible from one vectorized DP over all
-      misses (:func:`_solve_batched_p1`) — counted as
-      ``p1_batched_solves`` / ``p1_batched_fallbacks``;
-    - the **quantized memo key** (``RuntimeConfig(quantized_memo=...)``,
-      opt-in) bands prices to :data:`repro.perf.solvecache.P1_QUANTUM`
-      so near-repeat subproblems hit; cross-band hits re-evaluate the
-      objective against the actual prices and are counted as
-      ``p1_quant_memo_hits``.
+    With an ``executor`` (or a :class:`repro.config.RuntimeConfig`) the
+    per-SBS fallback solves fan out in parallel; results are reduced in
+    SBS order, bit-identical to the serial path. All cache bookkeeping
+    (memo lookups, counter increments) happens here in the parent, so
+    results and recorded telemetry stay bit-identical across executors.
     """
-    backend = resolve_backend(backend, mu.shape[0] * network.num_items, config=config)
+    backend = resolve_backend(backend, mu.shape[0] * network.num_items)
     if backend not in ("flow", "lp", "lp-simplex"):
         raise ConfigurationError(f"unknown caching backend {backend!r}")
     if mu.ndim != 3 or mu.shape[1:] != (network.num_classes, network.num_items):
@@ -158,111 +138,70 @@ def solve_caching(
     T = mu.shape[0]
     K = network.num_items
     prices = class_prices(network, mu)
-    reuse = resolved_flow_reuse(config)
-    want_state = cache is not None and backend == "flow"
 
-    quantized = resolved_quantized_memo(config)
     results: list[tuple[FloatArray, float] | None] = [None] * network.num_sbs
     hits_before = cache.hits if cache is not None else 0
-    quant_before = cache.quant_hits if cache is not None else 0
     miss_ns: list[int] = []
-    miss_keys: list[tuple[bytes, bytes | None]] = []
+    miss_keys: list[bytes] = []
     for n in range(network.num_sbs):
-        key: bytes = b""
-        exact_key: bytes | None = None
+        key = b""
         if cache is not None:
-            c_n = prices[:, n, :]
-            beta_n = float(network.replacement_costs[n])
-            cap_n = int(network.cache_sizes[n])
-            x0_n = np.asarray(x_initial[n], dtype=np.float64)
-            exact_key = p1_digest(c_n, beta_n, cap_n, x0_n)
-            if quantized:
-                key = p1_quantized_digest(c_n, beta_n, cap_n, x0_n)
-                banded_hit = cache.lookup_banded(key, exact_key)
-                if banded_hit is not None:
-                    x_hit, obj_hit, banded = banded_hit
-                    if banded:
-                        # Cross-band reuse: the trajectory is valid (the
-                        # feasible set ignores prices) but the stored
-                        # objective belonged to the neighbour's prices.
-                        obj_hit = _objective_single(c_n, beta_n, x_hit, x0_n)
-                    results[n] = (x_hit, obj_hit)
-                    continue
-            else:
-                key = exact_key
-                hit = cache.lookup(key)
-                if hit is not None:
-                    results[n] = hit
-                    continue
+            key = p1_digest(
+                prices[:, n, :],
+                float(network.replacement_costs[n]),
+                int(network.cache_sizes[n]),
+                np.asarray(x_initial[n], dtype=np.float64),
+            )
+            hit = cache.lookup(key)
+            if hit is not None:
+                results[n] = hit
+                continue
         miss_ns.append(n)
-        miss_keys.append((key, exact_key))
+        miss_keys.append(key)
     n_misses = len(miss_ns)
 
-    # Batched relaxation pass: one vectorized DP over every miss at once;
-    # subproblems whose certificate holds are solved here (and memoized),
-    # the rest fall back to the exact per-SBS backends below.
-    if resolved_batched(config) and miss_ns:
-        accepted = _solve_batched_p1(
-            network, prices, x_initial, miss_ns, ties=resolved_batched_ties(config)
-        )
+    # Batched pass: one vectorized DP over every miss at once; subproblems
+    # whose certificate holds are solved here (and memoized), the rest fall
+    # back to the exact per-SBS backend below.
+    if miss_ns:
+        accepted = _solve_batched_p1(network, prices, x_initial, miss_ns)
         if accepted:
             kept_ns: list[int] = []
-            kept_keys: list[tuple[bytes, bytes | None]] = []
-            for n, keys in zip(miss_ns, miss_keys):
+            kept_keys: list[bytes] = []
+            for n, key in zip(miss_ns, miss_keys):
                 entry = accepted.get(n)
                 if entry is None:
                     kept_ns.append(n)
-                    kept_keys.append(keys)
+                    kept_keys.append(key)
                     continue
                 results[n] = entry
                 if cache is not None:
-                    cache.store(keys[0], entry[0], entry[1], exact_key=keys[1])
+                    cache.store(key, entry[0], entry[1])
             miss_ns, miss_keys = kept_ns, kept_keys
             inc("p1_batched_solves", len(accepted))
         if miss_ns:
             inc("p1_batched_fallbacks", len(miss_ns))
 
-    tasks = []
-    miss_meta: list[tuple[int, tuple[bytes, bytes | None], tuple[int, int, int, int]]] = []
-    for n, key in zip(miss_ns, miss_keys):
-        c_n = prices[:, n, :]
-        beta_n = float(network.replacement_costs[n])
-        cap_n = int(network.cache_sizes[n])
-        x0_n = np.asarray(x_initial[n], dtype=np.float64)
-        warm: FlowState | None = None
-        state_key = (n, T, K, cap_n)
-        ws = want_state
-        if cache is not None and want_state:
-            if cache.is_resume_disabled(state_key):
-                # Resume is permanently off for this key: skip the state
-                # export too — nothing will ever consume it.
-                ws = False
-            else:
-                warm = cache.warm_state_for(state_key)
-        miss_meta.append((n, key, state_key))
-        tasks.append((c_n, beta_n, cap_n, x0_n, backend, reuse, warm, ws))
-
+    tasks = [
+        (
+            prices[:, n, :],
+            float(network.replacement_costs[n]),
+            int(network.cache_sizes[n]),
+            np.asarray(x_initial[n], dtype=np.float64),
+            backend,
+        )
+        for n in miss_ns
+    ]
     ex = resolve_executor(executor, config=config)
     if ex.workers > 1 and len(tasks) > 1:
         solved = ex.map(_solve_sbs_task, tasks)
     else:
         solved = [_solve_sbs_task(task) for task in tasks]
 
-    resumes = bailouts = disabled = 0
-    for (n, key, state_key), (xn, obj, state, resumed, bailed) in zip(
-        miss_meta, solved
-    ):
+    for n, key, (xn, obj) in zip(miss_ns, miss_keys, solved):
         results[n] = (xn, obj)
         if cache is not None:
-            cache.store(key[0], xn, obj, exact_key=key[1])
-            if state is not None:
-                cache.flow_states[state_key] = state
-            if resumed:
-                disabled += cache.note_resume(state_key, bool(bailed))
-            cache.warm_resumes += resumed
-            cache.warm_bailouts += bailed
-            resumes += resumed
-            bailouts += bailed
+            cache.store(key, xn, obj)
     if cache is not None:
         hits = cache.hits - hits_before
         if hits:
@@ -271,15 +210,6 @@ def solve_caching(
             # Memo misses count every digest lookup that missed, including
             # those the batched relaxation pass answered.
             inc("p1_memo_misses", n_misses)
-        qhits = cache.quant_hits - quant_before
-        if qhits:
-            inc("p1_quant_memo_hits", qhits)
-        if resumes:
-            inc("flow_warm_resumes", resumes)
-        if bailouts:
-            inc("flow_warm_bailouts", bailouts)
-        if disabled:
-            inc("flow_warm_disabled_keys", disabled)
 
     x = np.zeros((T, network.num_sbs, K))
     objective = 0.0
@@ -292,25 +222,17 @@ def solve_caching(
 
 
 def _solve_sbs_task(
-    task: tuple[FloatArray, float, int, FloatArray, str, bool, "FlowState | None", bool],
-) -> tuple[FloatArray, float, "FlowState | None", int, int]:
+    task: tuple[FloatArray, float, int, FloatArray, str],
+) -> tuple[FloatArray, float]:
     """One SBS's ``P1`` solve — module-level so process executors can use it.
 
-    Returns ``(x, objective, flow_state, warm_resumes, warm_bailouts)``;
-    the last three are ``(None, 0, 0)`` unless the caller asked for warm
-    state (flow backend with an active :class:`SolveCache`).
+    Returns ``(x, objective)``.
     """
-    c, beta, cap, x0, backend, reuse, warm, want_state = task
+    c, beta, cap, x0, backend = task
     if backend == "flow":
-        if want_state:
-            return _solve_single_sbs_flow(
-                c, beta, cap, x0, reuse=reuse, warm_state=warm, want_state=True
-            )
-        xn, obj = _solve_single_sbs_flow(c, beta, cap, x0, reuse=reuse)
-        return xn, obj, None, 0, 0
+        return _solve_single_sbs_flow(c, beta, cap, x0)
     lp_backend = "scipy" if backend == "lp" else "simplex"
-    xn, obj = _solve_single_sbs_lp(c, beta, cap, x0, lp_backend=lp_backend)
-    return xn, obj, None, 0, 0
+    return _solve_single_sbs_lp(c, beta, cap, x0, lp_backend=lp_backend)
 
 
 def caching_objective(
@@ -342,8 +264,6 @@ def _relaxed_dp_stack(
     beta: FloatArray,
     X0: FloatArray,
     caps: FloatArray,
-    *,
-    ties: bool,
 ) -> tuple[FloatArray, FloatArray]:
     """Canonical cardinality-relaxed ``P1`` DP over a stack of SBSs.
 
@@ -366,15 +286,11 @@ def _relaxed_dp_stack(
 
     Acceptance (the returned ``ok`` mask) requires
 
-    * **certified decisions**: with ``ties=True`` every margin along the
-      backtracked path is either exactly ``0.0`` (a structural tie — the
-      canonical branch is taken) or strict beyond the float danger band
+    * **certified decisions**: every margin along the backtracked path is
+      either exactly ``0.0`` (a structural tie — the canonical branch is
+      taken) or strict beyond the float danger band
       ``16 * eps * max(T, 4) * max(1, beta, max |c|)``, and the path's
-      value re-folds bitwise to the DP optimum; with ``ties=False`` the
-      legacy strict-margin rule (every on-path margin above
-      ``1e-9 * max(1, beta, max |c|)``) — bitwise the pre-tie-aware
-      acceptance set, because flipping the tie direction of a decision
-      can only matter on paths the legacy rule already rejected; and
+      value re-folds bitwise to the DP optimum; and
     * **cap feasibility**: the relaxed optimum satisfies the per-slot
       cardinality caps.
 
@@ -389,14 +305,11 @@ def _relaxed_dp_stack(
     scale = np.maximum(
         1.0, np.maximum(bcol[:, 0], np.abs(C).max(axis=(1, 2)) if K else 0.0)
     )[:, None]
-    if ties:
-        # Path values are <= T-term float sums: their error is below
-        # T * eps * scale, so margins beyond this band cannot change sign
-        # under any evaluation order, and nonzero margins inside it are
-        # treated as unsafe rather than as ties.
-        tol = (16.0 * _DP_EPS * max(T, 4)) * scale
-    else:
-        tol = 1e-9 * scale
+    # Path values are <= T-term float sums: their error is below
+    # T * eps * scale, so margins beyond this band cannot change sign under
+    # any evaluation order, and nonzero margins inside it are treated as
+    # unsafe rather than as ties.
+    tol = (16.0 * _DP_EPS * max(T, 4)) * scale
 
     # Forward pass: V1/V0 = best profit with the item cached/uncached in
     # slot t.
@@ -423,31 +336,30 @@ def _relaxed_dp_stack(
     x = np.zeros((B, T, K))
     state = V1 > V0  # cache in the last slot only on strict gain
     mfin = np.abs(V1 - V0)
-    fail = ((mfin > 0.0) & (mfin <= tol)) if ties else (mfin <= tol)
+    fail = (mfin > 0.0) & (mfin <= tol)
     for t in range(T - 1, 0, -1):
         x[:, t, :] = state
         m = np.where(state, m1[t], m0[t])
-        fail |= ((m > 0.0) & (m <= tol)) if ties else (m <= tol)
+        fail |= (m > 0.0) & (m <= tol)
         state = np.where(state, take1[t], ~take0[t])
     x[:, 0, :] = state
 
-    if ties:
-        # Fold the backtracked path's value with the DP's exact operation
-        # order and require bitwise agreement with the DP optimum — a
-        # belt-and-braces guard that the tie-resolved path really attains
-        # the optimal value (any pointer/value inconsistency fails here).
-        on = x[:, 0, :] > 0.5
-        acc = np.where(on, C[:, 0, :] - fetch0, 0.0)
-        for t in range(1, T):
-            on = x[:, t, :] > 0.5
-            was = x[:, t - 1, :] > 0.5
-            acc = np.where(
-                on & ~was,
-                (acc - bcol) + C[:, t, :],
-                np.where(on & was, acc + C[:, t, :], acc),
-            )
-        final = np.where(x[:, T - 1, :] > 0.5, V1, V0)
-        fail |= acc != final
+    # Fold the backtracked path's value with the DP's exact operation
+    # order and require bitwise agreement with the DP optimum — a
+    # belt-and-braces guard that the tie-resolved path really attains
+    # the optimal value (any pointer/value inconsistency fails here).
+    on = x[:, 0, :] > 0.5
+    acc = np.where(on, C[:, 0, :] - fetch0, 0.0)
+    for t in range(1, T):
+        on = x[:, t, :] > 0.5
+        was = x[:, t - 1, :] > 0.5
+        acc = np.where(
+            on & ~was,
+            (acc - bcol) + C[:, t, :],
+            np.where(on & was, acc + C[:, t, :], acc),
+        )
+    final = np.where(x[:, T - 1, :] > 0.5, V1, V0)
+    fail |= acc != final
 
     counts = x.sum(axis=2)
     ok = ~fail.any(axis=1) & (counts <= np.asarray(caps)[:, None]).all(axis=1)
@@ -459,8 +371,7 @@ def _certified_canonical(
 ) -> tuple[FloatArray, float] | None:
     """The canonical certified-exact ``P1`` optimum for one SBS, if any.
 
-    Runs :func:`_relaxed_dp_stack` with ``B = 1`` under the tie-aware
-    certificate; when the canonical relaxed optimum certifies and fits the
+    Runs :func:`_relaxed_dp_stack` with ``B = 1``; when the canonical relaxed optimum certifies and fits the
     cap it *is* an optimum of the constrained problem. Cap-bound rows — the
     relaxed optimum over-caps, which is the common case on the paper's
     uniform-cost scenarios — go to the exact cap-constrained kernel
@@ -476,7 +387,7 @@ def _certified_canonical(
     beta_arr = np.asarray([float(beta)], dtype=np.float64)
     X0 = np.asarray(x0, dtype=np.float64)[None]
     caps = np.asarray([cap], dtype=np.float64)
-    x, ok = _relaxed_dp_stack(C, beta_arr, X0, caps, ties=True)
+    x, ok = _relaxed_dp_stack(C, beta_arr, X0, caps)
     if not bool(ok[0]):
         x, ok = capped_cancel_stack(C, beta_arr, X0, caps)
         if not bool(ok[0]):
@@ -490,8 +401,6 @@ def _solve_batched_p1(
     prices: FloatArray,
     x_initial: FloatArray,
     ns: list[int],
-    *,
-    ties: bool = True,
 ) -> dict[int, tuple[FloatArray, float]]:
     """Vectorized certified-exact ``P1`` over a stack of SBSs.
 
@@ -504,12 +413,7 @@ def _solve_batched_p1(
     ``p1_batched_capped``). Only rows neither stage certifies fall back to
     the per-SBS backends.
 
-    ``ties=True`` (the default, governed by
-    ``RuntimeConfig(batched_ties=...)`` / ``REPRO_BATCHED_TIES``) enables
-    the canonical tie discipline and the capped stage; ``ties=False``
-    restores the legacy strict-margin-only acceptance, which rejects every
-    tied or cap-bound row — the acceptance *rate* A/B CI runs. Either way
-    the accepted answers are bitwise what the per-SBS backends return,
+    The accepted answers are bitwise what the per-SBS backends return,
     because those backends answer from the same
     :func:`_certified_canonical` predicate first. Returns
     ``{n: (x, objective)}`` for the accepted SBSs, objectives evaluated by
@@ -527,7 +431,7 @@ def _solve_batched_p1(
         beta = network.replacement_costs[sel].astype(np.float64)
         caps = np.asarray(network.cache_sizes[sel])
         X0 = np.asarray(x_initial[sel], dtype=np.float64)
-        x, ok = _relaxed_dp_stack(C, beta, X0, caps, ties=ties)
+        x, ok = _relaxed_dp_stack(C, beta, X0, caps)
         for b in np.flatnonzero(ok):
             xb = x[b]
             out[int(sel[b])] = (
@@ -535,7 +439,7 @@ def _solve_batched_p1(
                 _objective_single(C[b], float(beta[b]), xb, X0[b]),
             )
         rest = np.flatnonzero(~ok)
-        if ties and rest.size:
+        if rest.size:
             xc, okc = capped_cancel_stack(C[rest], beta[rest], X0[rest], caps[rest])
             for i in np.flatnonzero(okc):
                 b = int(rest[i])
@@ -675,11 +579,8 @@ def _solve_single_sbs_flow(
     cap: int,
     x0: FloatArray,
     *,
-    reuse: bool | None = None,
-    warm_state: FlowState | None = None,
-    want_state: bool = False,
     canonical: bool = True,
-):
+) -> tuple[FloatArray, float]:
     """Min-cost-flow solve for one SBS (see :func:`_build_flow_template`).
 
     Tie-degenerate subproblems are answered by :func:`_certified_canonical`
@@ -691,31 +592,20 @@ def _solve_single_sbs_flow(
     exposes the raw flow answer — tests use it to verify the canonical
     trajectory attains the flow's optimal objective.
 
-    ``reuse`` pools the built graph across solves of the same shape
-    (default on; ``RuntimeConfig(flow_reuse=False)`` or the deprecated
-    ``REPRO_FLOW_REUSE=0`` disables). A reused solve is bit-identical to a
-    fresh-graph solve: the rewound capacities and rewritten costs
-    reproduce the exact graph a fresh build would create.
-
-    Returns ``(x, objective)``; with ``want_state=True`` the return is
-    ``(x, objective, flow_state, warm_resumes, warm_bailouts)`` and, when
-    ``warm_state`` is given, the solve resumes from it
-    (:meth:`repro.optim.mincostflow.MinCostFlow.resume`) instead of
-    cold-starting.
+    The solve is a cold start on a graph checked out of the per-shape
+    template pool. A pooled solve is bit-identical to a fresh-graph
+    solve: the rewound capacities and rewritten costs reproduce the exact
+    graph a fresh build would create. Returns ``(x, objective)``.
     """
     T, K = c.shape
     if cap == 0:
-        zero = np.zeros((T, K))
-        return (zero, 0.0, None, 0, 0) if want_state else (zero, 0.0)
+        return np.zeros((T, K)), 0.0
     if canonical:
         canon = _certified_canonical(c, beta, cap, x0)
         if canon is not None:
-            xc, objc = canon
-            return (xc, objc, None, 0, 0) if want_state else (xc, objc)
-    if reuse is None:
-        reuse = resolved_flow_reuse(None)
+            return canon
 
-    template = _acquire_template(T, K, cap) if reuse else _build_flow_template(T, K, cap)
+    template = _acquire_template(T, K, cap)
     g = template.graph
     fetch_costs = np.full((T, K), float(beta))
     fetch_costs[0, np.asarray(x0) > 0.5] = 0.0
@@ -724,37 +614,18 @@ def _solve_single_sbs_flow(
     costs[template.hold_arcs.reshape(-1)] = -np.asarray(c, dtype=np.float64).reshape(-1)
     g.set_all_arc_costs(costs)
     potentials = _initial_potentials_dag(c, fetch_costs)
-
-    resumed = bailed = 0
-    if warm_state is not None:
-        result = g.resume(
-            template.src,
-            template.snk,
-            cap,
-            warm_state,
-            dag=True,
-            initial_potentials=potentials,
-        )
-        resumed = 1
-        bailed = int(g.last_resume_bailed)
-    else:
-        g.reset()
-        result = g.solve(
-            template.src, template.snk, cap, dag=True, initial_potentials=potentials
-        )
-    state = g.export_state() if want_state else None
+    g.reset()
+    result = g.solve(
+        template.src, template.snk, cap, dag=True, initial_potentials=potentials
+    )
     x = result.arc_flow[template.hold_arcs]
-    if reuse:
-        _release_template(T, K, cap, template)
+    _release_template(T, K, cap, template)
     if result.amount != cap:
         raise SolverError(
             f"caching flow routed {result.amount}/{cap} units; graph is malformed"
         )
     x = np.where(x > 0.5, 1.0, 0.0)
-    obj = _objective_single(c, beta, x, x0)
-    if want_state:
-        return x, obj, state, resumed, bailed
-    return x, obj
+    return x, _objective_single(c, beta, x, x0)
 
 
 # ------------------------------------------------------------------- LP back

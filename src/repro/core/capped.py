@@ -48,8 +48,8 @@ Every elementwise operation here is independent of the stack size ``B``
 (reductions run over items and the horizon only), so a ``B = 1`` call made by
 a per-SBS backend produces bitwise the row a stacked call would — the same
 shared-kernel property the relaxation pass maintains, and the reason the
-batched pass and the per-SBS fallbacks stay cost-identical under the
-``batched_ties`` A/B.
+batched pass and the per-SBS fallbacks return identical answers for the
+same row.
 """
 
 from __future__ import annotations

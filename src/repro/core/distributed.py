@@ -119,8 +119,8 @@ def solve_distributed(
 
     Every SBS runs Algorithm 1 locally; nothing is exchanged. The merged
     bounds are sums of the local bounds (valid because the objective and
-    constraints are separable). With an ``executor`` (or ``REPRO_WORKERS``
-    set) the independent controllers run in parallel — they would run on
+    constraints are separable). With a parallel ``executor`` the
+    independent controllers run in parallel — they would run on
     separate machines in a real deployment — and the merge happens in
     fixed SBS order, so the result is bit-identical to the serial path.
     """

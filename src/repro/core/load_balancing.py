@@ -15,24 +15,22 @@ For the paper's evaluation setting — quadratic BS cost, ``omega-hat = 0``
 residual ``r``: at a given ``r`` the KKT conditions rank items by the
 per-bandwidth-unit benefit ``kappa_j = 2 r omega_j - mu_j / lambda_j`` and
 fill greedily up to the bandwidth, and the resulting residual is monotone
-in ``r``. Both the loop and batched layouts route every (SBS, slot) row
-through :func:`repro.optim.waterfill.waterfill_batch`, which solves the
+in ``r``. :func:`_solve_p2_fast` routes every (SBS, slot) row through
+:func:`repro.optim.waterfill.waterfill_batch` — one call per window, with
+the rows laid out by the network's shape (one SBS; ``G`` contiguous
+classes per SBS; or a zero-padded general stack). The kernel solves the
 fixed point *in closed form*: a single threshold scan whenever the
 bandwidth constraint is slack (the overwhelmingly common case) and the
 exact parametric bound solve (DESIGN.md §7) when it binds, with the
-legacy residual bisection retained only as a fallback for degenerate
-rows and as the A/B reference (``closed_form=False``). Both layouts are
-bit-identical by construction, and results agree with the historical
-all-bisection solver to the documented ``<= 1e-9`` objective envelope
-(the closed form is exact where the bisection was a ``2^-26``-bracketed
-approximation). ``RuntimeConfig`` (or ``REPRO_BW_CLOSED_FORM`` /
-``REPRO_BISECTION_ITERS``) selects the path and the reference depth;
-the resolution happens once in :func:`solve_p2` /
-:func:`solve_y_given_x` and is threaded through every kernel and
-projection call below. The general case (``omega-hat > 0`` or
-non-quadratic costs) falls back to FISTA over the box-plus-halfspace
-feasible set, whose binding-block projection uses the same exact
-parametric solve (:func:`repro.optim.projection.halfspace_theta_exact`).
+legacy residual bisection kept as the counted fallback for degenerate
+rows. Results agree with the historical all-bisection solver
+(:func:`_waterfill_reference`, kept as a test reference) to the
+documented ``<= 1e-9`` objective envelope (the closed form is exact
+where the bisection was a ``2^-26``-bracketed approximation). The
+general case (``omega-hat > 0`` or non-quadratic costs) falls back to
+FISTA over the box-plus-halfspace feasible set, whose stacked
+binding-block projection uses the same exact parametric solve
+(:func:`repro.optim.projection.halfspace_theta_exact`).
 """
 
 from __future__ import annotations
@@ -41,12 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import (
-    RuntimeConfig,
-    resolved_batched,
-    resolved_bisection_iters,
-    resolved_bw_closed_form,
-)
 from repro.core.problem import JointProblem
 from repro.exceptions import DimensionMismatchError
 from repro.network.costs import QuadraticOperatingCost
@@ -90,40 +82,19 @@ def solve_p2(
     tol: float = 1e-7,
     max_iter: int = 500,
     budget: SolveBudget | None = None,
-    config: RuntimeConfig | None = None,
 ) -> LoadBalancingSolution:
     """Solve ``P2`` given multipliers ``mu`` of shape ``(T, M, K)``.
 
     ``budget`` is the enclosing anytime budget (shared clock): the FISTA
     fallback stops early once it is exhausted and returns its best feasible
     iterate. The closed-form fast path ignores it — one pass is exact.
-    ``config`` selects the batched solve core (default on; both paths
-    return bit-identical solutions), the bandwidth-bound solve
-    (``bw_closed_form``, default on) and the bisection reference depth
-    (``bisection_iters``).
     """
     if mu.shape != problem.y_shape:
         raise DimensionMismatchError(f"mu shape {mu.shape} != {problem.y_shape}")
-    closed_form = resolved_bw_closed_form(config)
-    bisection_iters = resolved_bisection_iters(config)
     if _uses_fast_path(problem):
-        return _solve_p2_fast(
-            problem,
-            mu,
-            batched=resolved_batched(config),
-            closed_form=closed_form,
-            bisection_iters=bisection_iters,
-        )
+        return _solve_p2_fast(problem, mu)
     return _solve_p2_fista(
-        problem,
-        mu,
-        y0=y0,
-        tol=tol,
-        max_iter=max_iter,
-        budget=budget,
-        batched=resolved_batched(config),
-        closed_form=closed_form,
-        bisection_iters=bisection_iters,
+        problem, mu, y0=y0, tol=tol, max_iter=max_iter, budget=budget
     )
 
 
@@ -135,7 +106,6 @@ def solve_y_given_x(
     tol: float = 1e-8,
     max_iter: int = 1000,
     budget: SolveBudget | None = None,
-    config: RuntimeConfig | None = None,
 ) -> LoadBalancingSolution:
     """Exact optimal ``y`` for a fixed integral caching trajectory ``x``.
 
@@ -147,17 +117,8 @@ def solve_y_given_x(
     if x.shape != problem.x_shape:
         raise DimensionMismatchError(f"x shape {x.shape} != {problem.x_shape}")
     zero_mu = np.zeros(problem.y_shape)
-    closed_form = resolved_bw_closed_form(config)
-    bisection_iters = resolved_bisection_iters(config)
     if _uses_fast_path(problem):
-        return _solve_p2_fast(
-            problem,
-            zero_mu,
-            x_caps=x,
-            batched=resolved_batched(config),
-            closed_form=closed_form,
-            bisection_iters=bisection_iters,
-        )
+        return _solve_p2_fast(problem, zero_mu, x_caps=x)
     return _solve_p2_fista(
         problem,
         zero_mu,
@@ -166,9 +127,6 @@ def solve_y_given_x(
         tol=tol,
         max_iter=max_iter,
         budget=budget,
-        batched=resolved_batched(config),
-        closed_form=closed_form,
-        bisection_iters=bisection_iters,
     )
 
 
@@ -194,83 +152,19 @@ def _solve_p2_fast(
     mu: FloatArray,
     *,
     x_caps: FloatArray | None = None,
-    batched: bool = False,
-    closed_form: bool | None = None,
-    bisection_iters: int | None = None,
 ) -> LoadBalancingSolution:
     """Exact solver for quadratic BS cost with ``omega-hat = 0``.
 
-    Solves the per-(SBS, slot) residual fixed point; see module docstring.
-    The loop path feeds one SBS at a time (all its slots as rows) through
-    :func:`repro.optim.waterfill.waterfill_batch`; the batched path stacks
-    all ``N x T`` (SBS, slot) rows into a single call. The kernel is
-    padding- and stacking-invariant, so both produce bit-identical
-    solutions — ``batched`` selects granularity, not semantics.
-    ``closed_form`` / ``bisection_iters`` are forwarded to the kernel
-    verbatim (``None`` re-resolves from the environment there).
-    """
-    if batched:
-        return _solve_p2_fast_batched(
-            problem,
-            mu,
-            x_caps=x_caps,
-            closed_form=closed_form,
-            bisection_iters=bisection_iters,
-        )
-    net = problem.network
-    scale = problem.bs_cost.scale  # type: ignore[union-attr]
-    T = problem.horizon
-    y = np.zeros(problem.y_shape)
-    objective = 0.0
-    for n in range(net.num_sbs):
-        classes = net.classes_of_sbs[n]
-        lam = problem.demand[:, classes, :].reshape(T, -1)  # (T, J)
-        omega = np.repeat(net.omega_bs[classes], net.num_items)  # (J,)
-        mu_n = mu[:, classes, :].reshape(T, -1)
-        caps = lam.copy()
-        if x_caps is not None:
-            per_class_caps = np.broadcast_to(
-                x_caps[:, n, None, :], (T, len(classes), net.num_items)
-            ).reshape(T, -1)
-            caps = caps * per_class_caps
-        W = lam @ omega  # (T,)
-        B = float(net.bandwidths[n])
-
-        alloc, u = _waterfill(
-            lam,
-            caps,
-            omega,
-            mu_n,
-            W,
-            B,
-            scale,
-            closed_form=closed_form,
-            bisection_iters=bisection_iters,
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y_n = np.where(lam > 0, alloc / lam, 0.0)
-        y[:, classes, :] = y_n.reshape(T, len(classes), net.num_items)
-        residual = W - u
-        objective += float(scale * np.sum(residual**2)) + float(np.sum(mu_n * y_n))
-    return LoadBalancingSolution(y=y, objective=objective)
-
-
-def _solve_p2_fast_batched(
-    problem: JointProblem,
-    mu: FloatArray,
-    *,
-    x_caps: FloatArray | None = None,
-    closed_form: bool | None = None,
-    bisection_iters: int | None = None,
-) -> LoadBalancingSolution:
-    """Batched fast path: one water-fill call over all ``N x T`` rows.
-
-    Rows are stacked SBS-major (rows ``n*T .. (n+1)*T`` belong to SBS
-    ``n``); SBSs with fewer (class, item) coordinates are zero-padded on
-    the right, which is inert because padded caps are zero. ``W`` is
-    accumulated per SBS with the same GEMV the loop path uses, so every
-    per-row quantity entering the kernel is bit-identical to the loop
-    path's.
+    Solves the per-(SBS, slot) residual fixed point (see module docstring)
+    with one :func:`repro.optim.waterfill.waterfill_batch` call over all
+    ``N x T`` (SBS, slot) rows, laid out by the network's shape: a single
+    SBS feeds its slots as the rows directly; ``G`` contiguous classes per
+    SBS take the reshape-only :func:`_solve_p2_fast_uniform`; anything else
+    is stacked SBS-major (rows ``n*T .. (n+1)*T`` belong to SBS ``n``) with
+    SBSs of fewer (class, item) coordinates zero-padded on the right,
+    which is inert because padded caps are zero. ``W`` is accumulated per
+    SBS with one GEMV over that SBS's rows in every layout, so a row's
+    kernel inputs do not depend on the layout.
     """
     net = problem.network
     scale = problem.bs_cost.scale  # type: ignore[union-attr]
@@ -278,31 +172,40 @@ def _solve_p2_fast_batched(
     K = net.num_items
     N = net.num_sbs
     if N == 1:
-        # One SBS: SBS-major stacking is the identity, so the loop body —
-        # which already feeds all T rows through one kernel call — is the
-        # same computation minus the zero-init/copy assembly.
-        return _solve_p2_fast(
-            problem,
-            mu,
-            x_caps=x_caps,
-            batched=False,
-            closed_form=closed_form,
-            bisection_iters=bisection_iters,
+        classes = net.classes_of_sbs[0]
+        lam = problem.demand[:, classes, :].reshape(T, -1)  # (T, J)
+        omega = np.repeat(net.omega_bs[classes], K)  # (J,)
+        mu_n = mu[:, classes, :].reshape(T, -1)
+        caps = lam.copy()
+        if x_caps is not None:
+            per_class_caps = np.broadcast_to(
+                x_caps[:, 0, None, :], (T, len(classes), K)
+            ).reshape(T, -1)
+            caps = caps * per_class_caps
+        W = lam @ omega  # (T,)
+        alloc, u = waterfill_batch(
+            np.ascontiguousarray(lam),
+            caps,
+            np.ascontiguousarray(np.broadcast_to(omega, caps.shape)),
+            mu_n,
+            W,
+            np.full(T, float(net.bandwidths[0])),
+            scale,
         )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y_n = np.where(lam > 0, alloc / lam, 0.0)
+        y = np.zeros(problem.y_shape)
+        y[:, classes, :] = y_n.reshape(T, len(classes), K)
+        residual = W - u
+        objective = float(scale * np.sum(residual**2)) + float(np.sum(mu_n * y_n))
+        return LoadBalancingSolution(y=y, objective=objective)
     G = net.num_classes // N
     if net.num_classes == N * G and np.array_equal(
         net.class_sbs, np.repeat(np.arange(N), G)
     ):
-        return _solve_p2_fast_uniform(
-            problem,
-            mu,
-            G,
-            x_caps=x_caps,
-            closed_form=closed_form,
-            bisection_iters=bisection_iters,
-        )
+        return _solve_p2_fast_uniform(problem, mu, G, x_caps=x_caps)
     counts = [len(net.classes_of_sbs[n]) for n in range(N)]
-    j_max = max(counts) * K if N else 0
+    j_max = max(counts) * K
     R = N * T
 
     lam_b = np.zeros((R, j_max))
@@ -332,16 +235,7 @@ def _solve_p2_fast_batched(
         bw_b[rows] = float(net.bandwidths[n])
 
     alloc_b, u_b = waterfill_batch(
-        lam_b,
-        caps_b,
-        om_b,
-        mu_b,
-        W_b,
-        bw_b,
-        scale,
-        group_ids=group,
-        closed_form=closed_form,
-        bisection_iters=bisection_iters,
+        lam_b, caps_b, om_b, mu_b, W_b, bw_b, scale, group_ids=group
     )
 
     y = np.zeros(problem.y_shape)
@@ -366,17 +260,15 @@ def _solve_p2_fast_uniform(
     G: int,
     *,
     x_caps: FloatArray | None,
-    closed_form: bool | None,
-    bisection_iters: int | None,
 ) -> LoadBalancingSolution:
-    """The batched fast path for ``G`` contiguous classes on every SBS.
+    """The fast path for ``G`` contiguous classes on every SBS.
 
     Class ``m`` belongs to SBS ``m // G``, so the SBS-major stack is a
     transpose of the ``(T, M, K)`` tensors and needs no padding: assembly
     and the ``y`` scatter are whole-array reshapes. ``W`` keeps the
     per-SBS GEMV, and every reduction runs over the same contiguous
-    blocks as in :func:`_solve_p2_fast_batched`'s loop, so kernel inputs,
-    ``y`` and the objective are bit-identical to it.
+    blocks as the general stacked layout of :func:`_solve_p2_fast`, so
+    kernel inputs, ``y`` and the objective are bit-identical to it.
     """
     net = problem.network
     scale = problem.bs_cost.scale  # type: ignore[union-attr]
@@ -415,8 +307,6 @@ def _solve_p2_fast_uniform(
         np.repeat(net.bandwidths, T),
         scale,
         group_ids=np.repeat(np.arange(N, dtype=np.intp), T),
-        closed_form=closed_form,
-        bisection_iters=bisection_iters,
     )
 
     # y = alloc / lam where lam > 0, else 0, computed in place: each
@@ -436,41 +326,6 @@ def _solve_p2_fast_uniform(
     return LoadBalancingSolution(y=y, objective=objective)
 
 
-def _waterfill(
-    lam: FloatArray,
-    caps: FloatArray,
-    omega: FloatArray,
-    mu: FloatArray,
-    W: FloatArray,
-    bandwidth: float,
-    scale: float,
-    *,
-    closed_form: bool | None = None,
-    bisection_iters: int | None = None,
-) -> tuple[FloatArray, FloatArray]:
-    """One-SBS water-fill: thin wrapper over the shared batched kernel.
-
-    Arrays are ``(T, J)`` with ``J`` the flattened (class, item) coordinates
-    of one SBS. Returns the routed amounts ``alloc`` (in bandwidth units,
-    ``alloc <= caps``) and the offloaded weighted volume ``u`` per slot.
-    Routing through :func:`repro.optim.waterfill.waterfill_batch` is what
-    makes the loop and batched ``P2`` paths bit-identical.
-    """
-    omega_rows = np.ascontiguousarray(np.broadcast_to(omega, caps.shape))
-    bw = np.full(lam.shape[0], float(bandwidth))
-    return waterfill_batch(
-        np.ascontiguousarray(lam),
-        caps,
-        omega_rows,
-        mu,
-        W,
-        bw,
-        scale,
-        closed_form=closed_form,
-        bisection_iters=bisection_iters,
-    )
-
-
 def _waterfill_reference(
     lam: FloatArray,
     caps: FloatArray,
@@ -480,20 +335,18 @@ def _waterfill_reference(
     bandwidth: float,
     scale: float,
     *,
-    iters: int | None = None,
+    iters: int = 26,
 ) -> tuple[FloatArray, FloatArray]:
     """Historical all-bisection water-fill, kept as an independent test
     reference for the closed-form kernel.
 
     Bisection on the residual ``r`` with a greedy bandwidth fill inside;
-    ``iters`` fixed iterations (arg > ``RuntimeConfig.bisection_iters`` >
-    ``REPRO_BISECTION_ITERS`` > 26) bracket the fixed point to
+    ``iters`` fixed iterations bracket the fixed point to
     ``~2^-iters`` relative accuracy, then the closing interpolation mixes
     the two endpoint fills. The production kernel must match this
     solver's objective to ``1e-9`` (and is exact where this one is
     approximate).
     """
-    iters = resolved_bisection_iters(None, iters)
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = np.where(lam > 0, mu / lam, np.inf)
     omega_full = np.broadcast_to(omega, caps.shape)
@@ -591,18 +444,17 @@ def _solve_p2_fista(
     tol: float = 1e-7,
     max_iter: int = 500,
     budget: SolveBudget | None = None,
-    batched: bool = False,
-    closed_form: bool | None = None,
-    bisection_iters: int | None = None,
 ) -> LoadBalancingSolution:
     """General-case ``P2`` via accelerated projected gradient.
 
-    The objective and gradient already operate on the full ``(T, M, K)``
-    tensor; ``batched`` additionally runs the per-SBS block projection as
-    one stacked :func:`_project_blocks_capped` call over all ``N x T``
-    rows instead of one call per SBS. Per-row independence of the theta
-    solve (exact by default, bisection under ``closed_form=False``) makes
-    the two layouts bit-identical.
+    The objective and gradient operate on the full ``(T, M, K)`` tensor,
+    and the per-SBS block projection runs as one stacked
+    :func:`_project_blocks_capped` call over all ``N x T`` (SBS, slot)
+    rows, zero-padded SBS-major exactly like the general layout of
+    :func:`_solve_p2_fast`. Each class belongs to exactly one SBS, so the
+    blocks partition the coordinates and each is projected exactly once;
+    the raw (unclipped) iterate is projected, since clipping first would
+    change the Euclidean projection.
     """
     net = problem.network
     T = problem.horizon
@@ -645,72 +497,38 @@ def _solve_p2_fista(
     N = net.num_sbs
     counts = [len(net.classes_of_sbs[n]) for n in range(N)]
 
-    if batched:
-        # Stack all (SBS, slot) blocks into one projection call. The
-        # demand coefficients, caps and budgets are loop-invariant, so
-        # they are assembled once; only the iterate is re-packed per call.
-        # Zero padding (a = caps = v = 0) is inert in the bisection.
-        j_max = max(counts) * K if N else 0
-        R = N * T
-        a_b = np.zeros((R, j_max))
-        caps_b = np.zeros((R, j_max))
-        bud_b = np.zeros(R)
+    # The demand coefficients, caps and budgets are loop-invariant, so they
+    # are assembled once; only the iterate is re-packed per call. Zero
+    # padding (a = caps = v = 0) is inert in the projection.
+    j_max = max(counts) * K
+    R = N * T
+    a_b = np.zeros((R, j_max))
+    caps_b = np.zeros((R, j_max))
+    bud_b = np.zeros(R)
+    for n in range(N):
+        classes = net.classes_of_sbs[n]
+        J = counts[n] * K
+        rows = slice(n * T, (n + 1) * T)
+        a_b[rows, :J] = lam[:, classes, :].reshape(T, -1)
+        caps_b[rows, :J] = caps[:, classes, :].reshape(T, -1)
+        bud_b[rows] = float(net.bandwidths[n])
+
+    def project(y_flat: FloatArray) -> FloatArray:
+        yt = y_flat.reshape(problem.y_shape)
+        v_b = np.zeros((R, j_max))
         for n in range(N):
             classes = net.classes_of_sbs[n]
             J = counts[n] * K
             rows = slice(n * T, (n + 1) * T)
-            a_b[rows, :J] = lam[:, classes, :].reshape(T, -1)
-            caps_b[rows, :J] = caps[:, classes, :].reshape(T, -1)
-            bud_b[rows] = float(net.bandwidths[n])
-
-        def project(y_flat: FloatArray) -> FloatArray:
-            yt = y_flat.reshape(problem.y_shape)
-            v_b = np.zeros((R, j_max))
-            for n in range(N):
-                classes = net.classes_of_sbs[n]
-                J = counts[n] * K
-                rows = slice(n * T, (n + 1) * T)
-                v_b[rows, :J] = yt[:, classes, :].reshape(T, -1)
-            out_b = _project_blocks_capped(
-                v_b,
-                a_b,
-                bud_b,
-                caps_b,
-                closed_form=closed_form,
-                iterations=bisection_iters,
-            )
-            y = np.empty(problem.y_shape)
-            for n in range(N):
-                classes = net.classes_of_sbs[n]
-                J = counts[n] * K
-                rows = slice(n * T, (n + 1) * T)
-                y[:, classes, :] = out_b[rows, :J].reshape(T, counts[n], K)
-            return y.reshape(-1)
-
-    else:
-
-        def project(y_flat: FloatArray) -> FloatArray:
-            # Each class belongs to exactly one SBS, so the per-SBS blocks
-            # partition the coordinates and each is projected exactly once.
-            # The raw (unclipped) iterate must be handed to the block
-            # projection: clipping first would change the Euclidean
-            # projection.
-            y = y_flat.reshape(problem.y_shape).copy()
-            for n in range(net.num_sbs):
-                classes = net.classes_of_sbs[n]
-                block = y[:, classes, :].reshape(T, -1)
-                a = lam[:, classes, :].reshape(T, -1)
-                budgets = np.full(T, net.bandwidths[n])
-                projected = _project_blocks_capped(
-                    block,
-                    a,
-                    budgets,
-                    caps[:, classes, :].reshape(T, -1),
-                    closed_form=closed_form,
-                    iterations=bisection_iters,
-                )
-                y[:, classes, :] = projected.reshape(T, len(classes), net.num_items)
-            return y.reshape(-1)
+            v_b[rows, :J] = yt[:, classes, :].reshape(T, -1)
+        out_b = _project_blocks_capped(v_b, a_b, bud_b, caps_b)
+        y = np.empty(problem.y_shape)
+        for n in range(N):
+            classes = net.classes_of_sbs[n]
+            J = counts[n] * K
+            rows = slice(n * T, (n + 1) * T)
+            y[:, classes, :] = out_b[rows, :J].reshape(T, counts[n], K)
+        return y.reshape(-1)
 
     start = np.zeros(problem.y_shape) if y0 is None else np.clip(y0, 0.0, caps)
     result = minimize_fista(
@@ -733,8 +551,8 @@ def _project_blocks_capped(
     caps: FloatArray,
     *,
     early_exit: bool = True,
-    closed_form: bool | None = None,
-    iterations: int | None = None,
+    closed_form: bool = True,
+    iterations: int = 26,
 ) -> FloatArray:
     """Batched projection onto ``{0 <= y <= caps, a . y <= budget}`` per row.
 
@@ -742,16 +560,15 @@ def _project_blocks_capped(
     per-coordinate upper bounds (needed when ``y <= x`` is enforced
     directly rather than dualized). By default the binding rows solve the
     exact parametric theta (:func:`repro.optim.projection.halfspace_theta_exact`);
-    ``closed_form=False`` (arg > config > ``REPRO_BW_CLOSED_FORM``) keeps
-    the legacy theta bisection as the A/B reference, running
-    ``iterations`` steps (arg > config > ``REPRO_BISECTION_ITERS`` > 26).
+    ``closed_form=False`` runs the legacy theta bisection instead
+    (``iterations`` steps), which tests keep as an independent reference.
 
     The theta bisection exits early for any row whose bracket endpoints
     already produce the same clipped point bitwise: ``clip(v - theta a)``
     is elementwise monotone in ``theta`` (``a >= 0``), so equal endpoint
     points pin the point on the whole bracket and every further iteration
     is a no-op for that row. The early exit is bitwise-invisible;
-    ``early_exit=False`` runs the fixed iteration count for A/B tests.
+    ``early_exit=False`` runs the fixed iteration count.
     """
     base = np.clip(v, 0.0, caps)
     usage = np.einsum("bd,bd->b", a, base)
@@ -760,12 +577,11 @@ def _project_blocks_capped(
         return base
     vv, aa, bb, cc = v[violated], a[violated], budgets[violated], caps[violated]
 
-    if resolved_bw_closed_form(None, closed_form):
+    if closed_form:
         theta = halfspace_theta_exact(vv, aa, bb, 0.0, cc)
         out = base
         out[violated] = np.clip(vv - theta[:, None] * aa, 0.0, cc)
         return out
-    iters = resolved_bisection_iters(None, iterations)
 
     theta_lo = np.zeros(vv.shape[0])
     theta_hi = np.ones(vv.shape[0])
@@ -781,7 +597,7 @@ def _project_blocks_capped(
     idx = np.arange(vv.shape[0])
     y_lo = np.clip(vv - theta_lo[:, None] * aa, 0.0, cc)
     y_hi = np.clip(vv - theta_hi[:, None] * aa, 0.0, cc)
-    for _ in range(iters):
+    for _ in range(iterations):
         if early_exit:
             same = np.all(y_lo == y_hi, axis=1)
             if same.any():

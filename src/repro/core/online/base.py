@@ -66,8 +66,8 @@ class OnlineSolveSettings:
         Whether the incremental re-solve layer is active for this
         controller: every window seeds the previous window's committed
         trajectory (shifted to the new slots) as a feasible incumbent, and
-        one :class:`repro.perf.solvecache.SolveCache` — ``P1`` memo plus
-        warm flow states — is carried across the whole window sequence.
+        one :class:`repro.perf.solvecache.SolveCache` (the ``P1`` memo) is
+        carried across the whole window sequence.
         ``None`` (default) defers to ``RuntimeConfig(incremental=...)`` /
         ``REPRO_INCREMENTAL`` (default on).
     """
@@ -116,7 +116,7 @@ def solve_window(
     capacities (warm restart from the last feasible point); on the
     fault-free path the seeding is gated by ``settings.incremental``
     (cross-window reuse, default on). ``solve_cache`` carries the ``P1``
-    memo and warm flow states across the caller's whole window sequence.
+    memo across the caller's whole window sequence.
     """
     predicted = scenario.predictor.predict_window(
         max(decided_at, 0), window_start, window
@@ -175,7 +175,7 @@ def solve_window(
 def record_cache_stats(cache: SolveCache | None, controller: str) -> None:
     """Report a plan's :class:`SolveCache` counters, labeled per controller.
 
-    The unlabeled ``p1_memo_*`` / ``flow_warm_*`` counters accumulate
+    The unlabeled ``p1_memo_*`` counters accumulate
     per-call inside ``solve_caching``; these labeled totals additionally
     attribute the reuse to the controller whose plan owned the cache (the
     benchmark report reads them per policy).
@@ -187,10 +187,6 @@ def record_cache_stats(cache: SolveCache | None, controller: str) -> None:
         inc("p1_memo_hits", cache.hits, labels=labels)
     if cache.misses:
         inc("p1_memo_misses", cache.misses, labels=labels)
-    if cache.warm_resumes:
-        inc("flow_warm_resumes", cache.warm_resumes, labels=labels)
-    if cache.warm_bailouts:
-        inc("flow_warm_bailouts", cache.warm_bailouts, labels=labels)
 
 
 def shift_mu(mu: FloatArray, shift: int) -> FloatArray:

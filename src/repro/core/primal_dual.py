@@ -151,8 +151,8 @@ def solve_primal_dual(
     executor:
         Parallel-execution strategy for the per-SBS ``P1`` solves — an
         :class:`repro.perf.Executor`, a spec string (``"process:4"``), or
-        ``None`` to consult ``REPRO_WORKERS`` / ``REPRO_EXECUTOR``.
-        Results are bit-identical across strategies.
+        ``None`` to defer to ``config`` (default serial). Results are
+        bit-identical across strategies.
     max_seconds:
         Anytime wall-time cap. Checked after each completed outer
         iteration, so at least one feasible ``(x, y)`` pair always exists
@@ -161,9 +161,8 @@ def solve_primal_dual(
         FISTA fallback inside ``P2`` so a single slow subproblem cannot
         blow through the cap.
     config:
-        Runtime knobs (:class:`repro.config.RuntimeConfig`) consulted when
-        ``executor`` / backend choices are not given explicitly; falls back
-        to the deprecated environment variables.
+        Runtime knobs (:class:`repro.config.RuntimeConfig`): the executor
+        when ``executor`` is not given, and the incremental layer.
     solve_cache:
         Incremental re-solve state (:class:`repro.perf.solvecache.SolveCache`)
         shared with related solves — the online controllers pass one cache
@@ -217,7 +216,7 @@ def solve_primal_dual(
                 f"candidate shape {cx.shape} != {problem.x_shape}"
             )
         with timers.stage("repair"):
-            cy = solve_y_given_x(problem, cx, config=config).y
+            cy = solve_y_given_x(problem, cx).y
         c_cost = problem.cost(cx, cy)
         repair_cache[cx.tobytes()] = (cy, c_cost)
         if best_cost is None or c_cost.total < best_cost.total:
@@ -240,7 +239,7 @@ def solve_primal_dual(
                 cache=solve_cache,
             )
         with timers.stage("p2"):
-            balancing = solve_p2(problem, mu, y0=y_warm, budget=budget, config=config)
+            balancing = solve_p2(problem, mu, y0=y_warm, budget=budget)
         y_warm = balancing.y
         dual_value = caching.objective + balancing.objective
         # At the -inf sentinel the relative-improvement margin is nan
@@ -277,7 +276,7 @@ def solve_primal_dual(
         cached = repair_cache.get(x_key)
         if cached is None:
             with timers.stage("repair"):
-                repaired_y = solve_y_given_x(problem, caching.x, config=config).y
+                repaired_y = solve_y_given_x(problem, caching.x).y
             candidate = problem.cost(caching.x, repaired_y)
             repair_cache[x_key] = (repaired_y, candidate)
         else:
@@ -366,7 +365,7 @@ def solve_primal_dual(
         cached = repair_cache.get(x_key)
         if cached is None:
             with timers.stage("repair"):
-                repaired_y = solve_y_given_x(problem, recovered.x, config=config).y
+                repaired_y = solve_y_given_x(problem, recovered.x).y
             candidate = problem.cost(recovered.x, repaired_y)
             repair_cache[x_key] = (repaired_y, candidate)
         else:

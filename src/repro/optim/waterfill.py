@@ -3,12 +3,12 @@
 :func:`waterfill_batch` solves the per-(SBS, slot) residual fixed point of
 subproblem ``P2`` for a whole stack of rows at once: every row is one
 (SBS, slot) pair, so a single call covers all ``N`` SBSs of a window
-instead of one solve per SBS. The scalar loop path routes through the same
-kernel one SBS at a time, and every reduction inside the kernel is either
-elementwise or a sequential per-row scan — zero-padded tail coordinates
-are exactly inert and rows never interact — so the batched and loop
-layouts return bit-identical solutions regardless of how rows are stacked,
-padded, or chunked.
+instead of one solve per SBS. A single-SBS window routes through the same
+kernel with its slots as rows, and every reduction inside the kernel is
+either elementwise or a sequential per-row scan — zero-padded tail
+coordinates are exactly inert and rows never interact — so a row's
+solution is bit-identical however the rows are stacked, padded, or
+chunked.
 
 Closed-form solve, bandwidth slack (the common case)
 ----------------------------------------------------
@@ -92,8 +92,8 @@ to the legacy bisection below. The counters ``p2_bw_bound_rows``,
 :mod:`repro.obs`) account for every bound row:
 ``p2_bw_closed_form + p2_bisection_fallbacks == p2_bw_bound_rows``.
 
-Legacy bisection (A/B reference, and the fallback)
---------------------------------------------------
+Legacy bisection (the counted fallback)
+---------------------------------------
 The greedy fill at residual ``r`` ranks items by ``kappa_j(r)`` and pours
 bandwidth down the ranking; bisection finds ``W - u(r) = r``. The fill's
 output depends on ``r`` only through the *state* (eligible set, sort
@@ -107,11 +107,11 @@ midpoint, making ``u(mid)`` free. Since each ``kappa_j(r)`` is linear in
 ``r``, a state valid at both ends of a bracket is valid throughout it, so
 a *cross-side* match certifies the fill is constant on the bracket and the
 row settles immediately. Both mechanisms are bitwise-invisible;
-``early_exit=False`` runs every iteration with fresh fills for A/B tests.
-The bisection depth follows ``RuntimeConfig.bisection_iters``
-(``REPRO_BISECTION_ITERS``, default 26); ``closed_form=False`` (or
-``REPRO_BW_CLOSED_FORM=0``) demotes every bound row to this path for
-cost-drift A/B runs. State arrays are allocated at the *compressed* width
+``early_exit=False`` runs every iteration with fresh fills. The bisection
+runs ``bisection_iters`` (default 26) steps; ``closed_form=False`` demotes
+every bound row to this path. Those three arguments exist for tests and
+benchmarks, which use the plain bisection as an independent reference;
+no solver above the kernel passes them. State arrays are allocated at the *compressed* width
 of each fallback subset (columns with positive cap in some row), never at
 the padded width.
 
@@ -135,7 +135,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.config import resolved_bisection_iters, resolved_bw_closed_form
 from repro.obs.recorder import inc
 from repro.types import FloatArray, IntArray
 
@@ -163,8 +162,8 @@ def waterfill_batch(
     *,
     group_ids: IntArray | None = None,
     early_exit: bool = True,
-    closed_form: bool | None = None,
-    bisection_iters: int | None = None,
+    closed_form: bool = True,
+    bisection_iters: int = 26,
 ) -> tuple[FloatArray, FloatArray]:
     """Solve the water-fill for a stack of independent rows.
 
@@ -192,12 +191,10 @@ def waterfill_batch(
         (bitwise-invisible; see module docstring).
     closed_form:
         Solve bandwidth-bound rows by the exact parametric path (see
-        module docstring). ``None`` resolves via
-        :func:`repro.config.resolved_bw_closed_form` (default on);
-        ``False`` demotes every bound row to the legacy bisection.
+        module docstring); ``False`` demotes every bound row to the legacy
+        bisection (a test and benchmark reference).
     bisection_iters:
-        Depth of the legacy bisection. ``None`` resolves via
-        :func:`repro.config.resolved_bisection_iters` (default 26).
+        Depth of the legacy bisection (default 26).
 
     Returns
     -------
@@ -303,8 +300,6 @@ def waterfill_batch(
     if act.size == 0:
         return alloc_out, u_out
 
-    use_closed = resolved_bw_closed_form(None, closed_form)
-    iters = resolved_bisection_iters(None, bisection_iters)
 
     def bisect_rows_legacy(
         rows: IntArray,
@@ -411,7 +406,7 @@ def waterfill_batch(
             alloc_out[sub_rows[:, None], kc[None, :]] = alloc_c
             u_out[sub_rows] = u
 
-        for _ in range(iters):
+        for _ in range(bisection_iters):
             if act_l.size == 0:
                 break
             A = act_l.size
@@ -733,7 +728,7 @@ def waterfill_batch(
         bw_k = bandwidths[brows]
         n_cf = 0
         unsolved = brows
-        if use_closed:
+        if closed_form:
             # The weight-structure test reads every item of the full rows,
             # so fallback routing does not depend on the candidate
             # restriction; the solve itself runs compact.

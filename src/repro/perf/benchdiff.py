@@ -40,8 +40,6 @@ _RESULT_FIELDS = frozenset(
         "workers",
         "executor",
         "incremental",
-        "bw_closed_form",
-        "batched_ties",
         "costs_identical",
         "executors_identical",
         "parallel_skipped",

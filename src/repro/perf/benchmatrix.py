@@ -24,7 +24,7 @@ import os
 import time
 from typing import Sequence
 
-from repro.config import RuntimeConfig, resolved_bw_closed_form
+from repro.config import RuntimeConfig
 from repro.exceptions import ConfigurationError
 from repro.obs import Recorder, record_into
 
@@ -92,7 +92,6 @@ def run_bench_matrix(
         "beta": beta,
         "horizon": horizon,
         "seeds": list(int(s) for s in seeds),
-        "bw_closed_form": resolved_bw_closed_form(None),
         "cpu_count": cpu_count,
         "cells": [],
     }

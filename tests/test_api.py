@@ -26,7 +26,6 @@ PUBLIC_API = [
     "ContentCatalog",
     "ConvergenceTrace",
     "CostBreakdown",
-    "DEPRECATED_API",
     "Decision",
     "DemandMatrix",
     "DemandSurge",
@@ -114,7 +113,6 @@ PUBLIC_API = [
     "render_top_frame",
     "render_trace_dashboard",
     "replay_plan",
-    "replay_trace",
     "requests_from_trace",
     "run_manifest",
     "run_policies",
@@ -196,13 +194,8 @@ class TestFacadeFunctions:
 
 
 class TestDeprecatedEntryPoints:
-    """Leaked internals superseded by the serve layer: warn-once shims."""
-
-    @pytest.fixture(autouse=True)
-    def _reset(self):
-        api.reset_api_deprecations()
-        yield
-        api.reset_api_deprecations()
+    """Replay entry points: ``replay_plan`` is the supported name; the
+    ``replay_trace`` shim it superseded is gone from the facade."""
 
     def _replay_args(self):
         import numpy as np
@@ -216,16 +209,6 @@ class TestDeprecatedEntryPoints:
         y = np.zeros((2, net.num_classes, net.num_items))
         return scenario.network, trace, x, y
 
-    def test_replay_trace_warns_once_and_delegates(self):
-        args = self._replay_args()
-        with pytest.warns(DeprecationWarning, match="replay_plan"):
-            report = api.replay_trace(*args)
-        assert report.total_requests == int(args[1].counts.sum())
-        # second call: no further warning
-        with warnings_catcher() as caught:
-            api.replay_trace(*args)
-        assert not [w for w in caught if w.category is DeprecationWarning]
-
     def test_replay_plan_is_supported_and_silent(self):
         args = self._replay_args()
         with warnings_catcher() as caught:
@@ -233,8 +216,9 @@ class TestDeprecatedEntryPoints:
         assert not [w for w in caught if w.category is DeprecationWarning]
         assert report.total_requests == int(args[1].counts.sum())
 
-    def test_removal_window_documented(self):
-        assert api.DEPRECATED_API == {"replay_trace": "v1.2"}
+    def test_replay_trace_shim_removed(self):
+        assert not hasattr(api, "replay_trace")
+        assert not hasattr(api, "DEPRECATED_API")
 
 
 def warnings_catcher():

@@ -1,10 +1,11 @@
 """Equivalence properties of the batched solve core.
 
-The batched kernels (DESIGN.md, "Batched solve core") promise that
-``RuntimeConfig(batched=...)`` selects *granularity, not semantics*: the
+The batched kernels (DESIGN.md, "Batched solve core") stack every SBS of a
+window into one call. Stacking selects *granularity, not semantics*: the
 stacked ``P1`` certificate pass and the all-SBS ``P2`` water-fill must
-reproduce the per-SBS / per-slot loop paths bit-for-bit wherever the paths
-are both exact, and within ``1e-9`` (with equal objectives) where the
+reproduce independent per-SBS references — the per-SBS flow backend,
+one kernel call per SBS, per-SBS projections, the per-move polish oracle —
+bit-for-bit wherever both are exact, and within ``1e-9`` where the
 reference itself is approximate. These tests pin that contract with
 randomized multi-SBS instances — uneven class counts included, so the
 zero-cap padding rows of the SBS-major stacking are exercised.
@@ -18,7 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.config import RuntimeConfig
+import repro.core.load_balancing as load_balancing
+import repro.core.polish as polish_mod
 from repro.core.caching_lp import (
     _objective_single,
     _solve_batched_p1,
@@ -39,12 +41,10 @@ from repro.core.rounding import optimal_rounding_threshold, round_caching
 from repro.core.problem import JointProblem
 from repro.network import ContentCatalog, MUClass, Network, SmallBaseStation
 from repro.obs import Recorder, record_into
+from repro.optim.fista import minimize_fista
 import repro.optim.waterfill as waterfill_mod
 from repro.optim.waterfill import _zero_extended_sum, waterfill_batch
 from repro.perf.solvecache import SolveCache
-
-BATCHED = RuntimeConfig(batched=True)
-LOOPED = RuntimeConfig(batched=False)
 
 
 def _multi_network(rng, *, N, K, C, beta=2.0, bandwidth=3.0, omega_hat=0.0):
@@ -64,8 +64,12 @@ def _multi_network(rng, *, N, K, C, beta=2.0, bandwidth=3.0, omega_hat=0.0):
     )
 
 
-def _multi_problem(rng, *, N, K, T, C, sparsity=0.3, omega_hat=0.0):
-    net = _multi_network(rng, N=N, K=K, C=C, omega_hat=omega_hat)
+def _multi_problem(
+    rng, *, N, K, T, C, sparsity=0.3, omega_hat=0.0, bandwidth=3.0
+):
+    net = _multi_network(
+        rng, N=N, K=K, C=C, bandwidth=bandwidth, omega_hat=omega_hat
+    )
     demand = rng.uniform(0.0, 3.0, size=(T, net.num_classes, K))
     demand *= rng.random(demand.shape) > sparsity
     return JointProblem(network=net, demand=demand)
@@ -75,6 +79,64 @@ def _sparse_mu(rng, shape, scale=4.0, sparsity=0.4):
     mu = rng.uniform(0.0, scale, size=shape)
     mu *= rng.random(shape) > sparsity
     return mu
+
+
+def _per_sbs_p2(prob, mu, x_caps=None):
+    """Reference ``P2`` fast path: one kernel call per SBS, its slots as
+    the rows, each SBS at its own (unpadded) width."""
+    net = prob.network
+    scale = prob.bs_cost.scale
+    T, K = prob.horizon, net.num_items
+    y = np.zeros(prob.y_shape)
+    objective = 0.0
+    for n in range(net.num_sbs):
+        classes = net.classes_of_sbs[n]
+        lam = prob.demand[:, classes, :].reshape(T, -1)
+        omega = np.repeat(net.omega_bs[classes], K)
+        mu_n = mu[:, classes, :].reshape(T, -1)
+        caps = lam.copy()
+        if x_caps is not None:
+            caps = caps * np.broadcast_to(
+                x_caps[:, n, None, :], (T, len(classes), K)
+            ).reshape(T, -1)
+        W = lam @ omega
+        alloc, u = waterfill_batch(
+            np.ascontiguousarray(lam),
+            caps,
+            np.ascontiguousarray(np.broadcast_to(omega, caps.shape)),
+            mu_n,
+            W,
+            np.full(T, float(net.bandwidths[n])),
+            scale,
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y_n = np.where(lam > 0, alloc / lam, 0.0)
+        y[:, classes, :] = y_n.reshape(T, len(classes), K)
+        objective += float(scale * np.sum((W - u) ** 2)) + float(np.sum(mu_n * y_n))
+    return y, objective
+
+
+def _per_sbs_projection(prob):
+    """Reference for the stacked FISTA projection: one
+    :func:`_project_blocks_capped` call per SBS on its own (unpadded)
+    ``(T, J)`` block of the iterate (``P2`` caps are all ones)."""
+    net = prob.network
+    T, K = prob.horizon, net.num_items
+
+    def project(y_flat):
+        y = y_flat.reshape(prob.y_shape).copy()
+        for n in range(net.num_sbs):
+            classes = net.classes_of_sbs[n]
+            block = y[:, classes, :].reshape(T, -1)
+            y[:, classes, :] = _project_blocks_capped(
+                block,
+                prob.demand[:, classes, :].reshape(T, -1),
+                np.full(T, float(net.bandwidths[n])),
+                np.ones_like(block),
+            ).reshape(T, len(classes), K)
+        return y.reshape(-1)
+
+    return project
 
 
 dims = st.tuples(
@@ -87,7 +149,7 @@ dims = st.tuples(
 
 
 class TestP2Batched:
-    """The all-SBS stacked P2 equals the per-SBS loop, bit for bit."""
+    """The all-SBS stacked P2 equals per-SBS kernel calls, bit for bit."""
 
     @settings(max_examples=25, deadline=None)
     @given(dims)
@@ -96,10 +158,10 @@ class TestP2Batched:
         rng = np.random.default_rng(seed)
         prob = _multi_problem(rng, N=N, K=K, T=T, C=C)
         mu = _sparse_mu(rng, prob.y_shape)
-        loop = _solve_p2_fast(prob, mu, batched=False)
-        batched = _solve_p2_fast(prob, mu, batched=True)
-        assert np.array_equal(loop.y, batched.y)
-        assert loop.objective == batched.objective
+        y_ref, obj_ref = _per_sbs_p2(prob, mu)
+        batched = _solve_p2_fast(prob, mu)
+        assert np.array_equal(y_ref, batched.y)
+        assert obj_ref == batched.objective
 
     @settings(max_examples=15, deadline=None)
     @given(dims)
@@ -111,16 +173,16 @@ class TestP2Batched:
         for t in range(T):
             for n in range(N):
                 x[t, n, rng.choice(K, size=C, replace=False)] = 1.0
-        loop = solve_y_given_x(prob, x, config=LOOPED)
-        batched = solve_y_given_x(prob, x, config=BATCHED)
-        assert np.array_equal(loop.y, batched.y)
-        assert loop.objective == batched.objective
+        y_ref, obj_ref = _per_sbs_p2(prob, np.zeros(prob.y_shape), x_caps=x)
+        batched = solve_y_given_x(prob, x)
+        assert np.array_equal(y_ref, batched.y)
+        assert obj_ref == batched.objective
 
     @settings(max_examples=15, deadline=None)
     @given(dims, st.integers(1, 3), st.booleans())
     def test_uniform_classes_bitwise(self, d, G, fixed_cache):
         """With G contiguous classes per SBS the batched assembly is a pure
-        reshape; it must still equal the per-SBS loop bit for bit."""
+        reshape; it must still equal per-SBS kernel calls bit for bit."""
         seed, N, K, T, C = d
         rng = np.random.default_rng(seed)
         net = Network(
@@ -139,28 +201,44 @@ class TestP2Batched:
             for t in range(T):
                 for n in range(N):
                     x[t, n, rng.choice(K, size=C, replace=False)] = 1.0
-            loop = solve_y_given_x(prob, x, config=LOOPED)
-            batched = solve_y_given_x(prob, x, config=BATCHED)
+            y_ref, obj_ref = _per_sbs_p2(prob, np.zeros(prob.y_shape), x_caps=x)
+            batched = solve_y_given_x(prob, x)
         else:
             mu = _sparse_mu(rng, prob.y_shape)
-            loop = _solve_p2_fast(prob, mu, batched=False)
-            batched = _solve_p2_fast(prob, mu, batched=True)
-        assert np.array_equal(loop.y, batched.y)
-        assert loop.objective == batched.objective
+            y_ref, obj_ref = _per_sbs_p2(prob, mu)
+            batched = _solve_p2_fast(prob, mu)
+        assert np.array_equal(y_ref, batched.y)
+        assert obj_ref == batched.objective
 
     @settings(max_examples=8, deadline=None)
     @given(dims)
     def test_fista_bitwise(self, d):
+        """Every projection FISTA makes through the stacked layout equals
+        per-SBS projections of the same iterate, bit for bit."""
         seed, N, K, T, C = d
         rng = np.random.default_rng(seed)
         # omega_hat > 0 leaves the closed-form fast path: FISTA engages,
-        # where "batched" only changes the projection stacking.
-        prob = _multi_problem(rng, N=N, K=K, T=T, C=C, omega_hat=0.1)
+        # where stacking only changes the projection layout. A tight
+        # bandwidth makes the projections bind.
+        prob = _multi_problem(
+            rng, N=N, K=K, T=T, C=C, omega_hat=0.1, bandwidth=0.4
+        )
         mu = _sparse_mu(rng, prob.y_shape, scale=1.0)
-        loop = _solve_p2_fista(prob, mu, batched=False)
-        batched = _solve_p2_fista(prob, mu, batched=True)
-        assert np.array_equal(loop.y, batched.y)
-        assert loop.objective == batched.objective
+        reference = _per_sbs_projection(prob)
+        calls = []
+
+        def checked_fista(objective, gradient, project, x0, **kwargs):
+            def checked(y_flat):
+                out = project(y_flat)
+                assert np.array_equal(out, reference(y_flat))
+                calls.append(1)
+                return out
+
+            return minimize_fista(objective, gradient, checked, x0, **kwargs)
+
+        with mock.patch.object(load_balancing, "minimize_fista", checked_fista):
+            _solve_p2_fista(prob, mu)
+        assert calls
 
 
 class TestClassSums:
@@ -507,31 +585,37 @@ class TestP1Batched:
     @settings(max_examples=15, deadline=None)
     @given(dims, st.booleans())
     def test_solve_caching_batched_vs_loop(self, d, with_cache):
+        """The full front door (memo, batched pass, fallback) equals one
+        per-SBS flow-backend solve per SBS."""
         seed, N, K, T, C = d
         rng = np.random.default_rng(seed)
         net = _multi_network(rng, N=N, K=K, C=C)
         mu = _sparse_mu(rng, (T, net.num_classes, K), sparsity=0.6)
         x0 = np.zeros((N, K))
-        loop = solve_caching(
-            net, mu, x0, backend="flow", config=LOOPED,
-            cache=SolveCache() if with_cache else None,
-        )
+        prices = class_prices(net, mu)
+        loop_x = np.zeros((T, N, K))
+        loop_obj = 0.0
+        for n in range(N):
+            x_n, obj_n = _solve_single_sbs_flow(
+                prices[:, n, :], float(net.sbss[n].replacement_cost),
+                int(net.sbss[n].cache_size), x0[n],
+            )
+            loop_x[:, n, :] = x_n
+            loop_obj += obj_n
         batched = solve_caching(
-            net, mu, x0, backend="flow", config=BATCHED,
+            net, mu, x0, backend="flow",
             cache=SolveCache() if with_cache else None,
         )
-        assert np.array_equal(loop.x, batched.x)
-        assert loop.objective == batched.objective
+        assert np.array_equal(loop_x, batched.x)
+        assert loop_obj == batched.objective
 
     @pytest.mark.parametrize("executor", ["serial", "thread:2", "process:2"])
     def test_executors_bitwise(self, rng, executor):
         net = _multi_network(rng, N=3, K=6, C=2)
         mu = _sparse_mu(rng, (3, net.num_classes, 6), sparsity=0.5)
         x0 = np.zeros((3, 6))
-        base = solve_caching(net, mu, x0, backend="flow", config=BATCHED)
-        other = solve_caching(
-            net, mu, x0, backend="flow", executor=executor, config=BATCHED
-        )
+        base = solve_caching(net, mu, x0, backend="flow")
+        other = solve_caching(net, mu, x0, backend="flow", executor=executor)
         assert np.array_equal(base.x, other.x)
         assert base.objective == other.objective
 
@@ -541,55 +625,12 @@ class TestP1Batched:
         mu = _sparse_mu(rng, (3, net.num_classes, 6))
         x0 = np.zeros((3, 6))
         cache = SolveCache()
-        first = solve_caching(net, mu, x0, backend="flow", config=BATCHED, cache=cache)
+        first = solve_caching(net, mu, x0, backend="flow", cache=cache)
         misses = cache.misses
-        second = solve_caching(net, mu, x0, backend="flow", config=BATCHED, cache=cache)
+        second = solve_caching(net, mu, x0, backend="flow", cache=cache)
         assert cache.misses == misses  # all hits the second time
         assert np.array_equal(first.x, second.x)
         assert first.objective == second.objective
-
-
-class TestQuantizedMemo:
-    def test_band_hit_reevaluates_objective(self, rng):
-        """A cross-band hit reuses the trajectory but prices the actual
-        objective — drift at float-noise level stays within 1e-9."""
-        net = _multi_network(rng, N=2, K=6, C=2)
-        mu = _sparse_mu(rng, (3, net.num_classes, 6))
-        x0 = np.zeros((2, 6))
-        cfg = RuntimeConfig(batched=True, quantized_memo=True)
-        cache = SolveCache()
-        first = solve_caching(net, mu, x0, backend="flow", config=cfg, cache=cache)
-        drift = mu * (1.0 + rng.random(mu.shape) * 1e-14)
-        second = solve_caching(net, drift, x0, backend="flow", config=cfg, cache=cache)
-        assert cache.quant_hits >= 1
-        assert np.array_equal(first.x, second.x)
-        # The reported objective is exactly the reused trajectory priced
-        # against the *drifted* mu, not the stale stored value...
-        prices = class_prices(net, drift)
-        expected = sum(
-            _objective_single(
-                prices[:, n, :], float(net.sbss[n].replacement_cost),
-                second.x[:, n, :], x0[n],
-            )
-            for n in range(2)
-        )
-        assert second.objective == pytest.approx(expected, abs=1e-12)
-        # ...and the trajectory is within the 1e-9 envelope of a cold solve.
-        cold = solve_caching(net, drift, x0, backend="flow", config=BATCHED)
-        assert second.objective <= cold.objective + 1e-9 * max(
-            1.0, abs(cold.objective)
-        )
-
-    def test_exact_repeat_is_not_counted_banded(self, rng):
-        net = _multi_network(rng, N=2, K=5, C=1)
-        mu = _sparse_mu(rng, (2, net.num_classes, 5))
-        x0 = np.zeros((2, 5))
-        cfg = RuntimeConfig(batched=True, quantized_memo=True)
-        cache = SolveCache()
-        solve_caching(net, mu, x0, backend="flow", config=cfg, cache=cache)
-        solve_caching(net, mu, x0, backend="flow", config=cfg, cache=cache)
-        assert cache.quant_hits == 0  # same bytes, not cross-band reuse
-        assert cache.hits == 2
 
 
 class TestRoundingRepair:
@@ -625,6 +666,8 @@ class TestPolishBatched:
     @settings(max_examples=10, deadline=None)
     @given(dims)
     def test_batched_vs_loop_bitwise(self, d):
+        """Batched candidate evaluation equals the per-move oracle loop
+        (the path problems off the fast path take), bit for bit."""
         seed, N, K, T, C = d
         rng = np.random.default_rng(seed)
         prob = _multi_problem(rng, N=N, K=K, T=T, C=C)
@@ -632,8 +675,9 @@ class TestPolishBatched:
         for t in range(T):
             for n in range(N):
                 x[t, n, rng.choice(K, size=C, replace=False)] = 1.0
-        x_l, y_l, cost_l = polish_caching(prob, x, config=LOOPED)
-        x_b, y_b, cost_b = polish_caching(prob, x, config=BATCHED)
+        with mock.patch.object(polish_mod, "_uses_fast_path", lambda p: False):
+            x_l, y_l, cost_l = polish_caching(prob, x)
+        x_b, y_b, cost_b = polish_caching(prob, x)
         assert np.array_equal(x_l, x_b)
         assert np.array_equal(y_l, y_b)
         assert cost_l.total == cost_b.total
@@ -814,9 +858,9 @@ class TestBwBoundClosedForm:
     @settings(max_examples=12, deadline=None)
     @given(dims)
     def test_starved_batched_vs_loop_bitwise(self, d):
-        """Batched vs loop bit-identity under bandwidth starvation — the
-        regime where the closed form (not the slack scan) produces the
-        returned rows."""
+        """Stacked vs per-SBS kernel calls, bit-identical under bandwidth
+        starvation — the regime where the closed form (not the slack
+        scan) produces the returned rows."""
         seed, N, K, T, C = d
         rng = np.random.default_rng(seed)
         prob = _multi_problem(rng, N=N, K=K, T=T, C=C)
@@ -834,14 +878,10 @@ class TestBwBoundClosedForm:
             demand=prob.demand,
         )
         mu = _sparse_mu(rng, starved.y_shape)
-        (loop, loop_c) = _counters(
-            lambda: _solve_p2_fast(starved, mu, batched=False)
-        )
-        (batched, batched_c) = _counters(
-            lambda: _solve_p2_fast(starved, mu, batched=True)
-        )
-        assert np.array_equal(loop.y, batched.y)
-        assert loop.objective == batched.objective
+        ((loop_y, loop_obj), loop_c) = _counters(lambda: _per_sbs_p2(starved, mu))
+        (batched, batched_c) = _counters(lambda: _solve_p2_fast(starved, mu))
+        assert np.array_equal(loop_y, batched.y)
+        assert loop_obj == batched.objective
         assert loop_c == batched_c
         assert (
             loop_c["p2_bw_closed_form"] + loop_c["p2_bisection_fallbacks"]
@@ -858,14 +898,12 @@ class TestBwBoundClosedForm:
         net = _multi_network(rng, N=N, K=K, C=C, bandwidth=0.4)
         mu = _sparse_mu(rng, (T, net.num_classes, K), sparsity=0.6)
         x0 = np.zeros((N, K))
-        base = solve_caching(net, mu, x0, backend="flow", config=BATCHED)
+        base = solve_caching(net, mu, x0, backend="flow")
         cached = solve_caching(
-            net, mu, x0, backend="flow", config=BATCHED,
+            net, mu, x0, backend="flow",
             cache=SolveCache() if with_cache else None,
         )
-        threaded = solve_caching(
-            net, mu, x0, backend="flow", executor="thread:2", config=BATCHED
-        )
+        threaded = solve_caching(net, mu, x0, backend="flow", executor="thread:2")
         for other in (cached, threaded):
             assert np.array_equal(base.x, other.x)
             assert base.objective == other.objective
@@ -972,34 +1010,28 @@ class TestP1Ties:
             x0[n, rng.choice(K, size=rng.integers(0, C + 1), replace=False)] = 1.0
         self._assert_all_accepted_match_flow(net, prices, x0, N)
 
-    def test_ties_off_restores_the_fallback_storm(self, rng):
-        """The kill switch really is an acceptance-rate A/B: with
-        ``batched_ties=False`` the degenerate rows are punted to the
-        per-SBS backends (counted as fallbacks), with the default they are
-        answered in-batch — and the costs are identical either way."""
+    def test_uniform_prices_answered_in_batch(self, rng):
+        """Uniform prices make every row cap-bound: the capped kernel
+        answers all of them in the batched pass (no per-SBS fallback),
+        bitwise what the per-SBS flow backend returns."""
         net = _multi_network(rng, N=4, K=8, C=2, beta=0.5)
         # Uniform demand -> uniform prices -> every row cap-bound.
         mu = np.full((3, net.num_classes, 8), 1.0)
         x0 = np.zeros((4, 8))
 
-        rec_on = Recorder()
-        with record_into(rec_on):
-            on = solve_caching(net, mu, x0, backend="flow", config=BATCHED)
-        assert rec_on.metrics.counter("p1_batched_fallbacks") == 0
-        assert rec_on.metrics.counter("p1_batched_capped") > 0
+        rec = Recorder()
+        with record_into(rec):
+            got = solve_caching(net, mu, x0, backend="flow")
+        assert rec.metrics.counter("p1_batched_fallbacks") == 0
+        assert rec.metrics.counter("p1_batched_capped") == 4
 
-        rec_off = Recorder()
-        with record_into(rec_off):
-            off = solve_caching(
-                net, mu, x0, backend="flow",
-                config=RuntimeConfig(batched=True, batched_ties=False),
+        prices = class_prices(net, mu)
+        for n in range(4):
+            x_f, _ = _solve_single_sbs_flow(
+                prices[:, n, :], float(net.sbss[n].replacement_cost),
+                int(net.sbss[n].cache_size), x0[n],
             )
-        assert rec_off.metrics.counter("p1_batched_fallbacks") > 0
-        assert rec_off.metrics.counter("p1_batched_capped") == 0
-
-        # The A/B gates the *rate*; the answers must not move a bit.
-        assert np.array_equal(on.x, off.x)
-        assert on.objective == off.objective
+            assert np.array_equal(got.x[:, n, :], x_f)
 
 
 class TestCappedKernel:

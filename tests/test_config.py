@@ -1,37 +1,26 @@
-"""RuntimeConfig precedence and the deprecated environment fallbacks."""
+"""RuntimeConfig precedence, its environment fallbacks, and the knob set."""
 
 from __future__ import annotations
 
+import dataclasses
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
 from repro.config import (
-    BACKEND_ENV,
-    BISECTION_ITERS_ENV,
-    BATCHED_TIES_ENV,
-    BW_CLOSED_FORM_ENV,
     DEFAULT_SERVE_ADMISSION,
     DEFAULT_SERVE_QUEUE_DEPTH,
     DEFAULT_SERVE_RPS,
     DEFAULT_SERVE_SLOT_SECONDS,
-    EXECUTOR_ENV,
-    FLOW_REUSE_ENV,
     OBS_SLO_ENV,
     SERVE_ADMISSION_ENV,
     SERVE_METRICS_PORT_ENV,
     SERVE_QUEUE_DEPTH_ENV,
     SERVE_RPS_ENV,
     SERVE_SLOT_SECONDS_ENV,
-    WORKERS_ENV,
     RuntimeConfig,
-    deprecated_env,
-    reset_deprecation_warnings,
-    resolved_backend_pin,
-    resolved_batched_ties,
-    resolved_bisection_iters,
-    resolved_bw_closed_form,
-    resolved_flow_reuse,
     resolved_obs_slo,
     resolved_serve_admission,
     resolved_serve_metrics_port,
@@ -42,49 +31,70 @@ from repro.config import (
 from repro.exceptions import ConfigurationError
 from repro.perf.executor import get_executor
 
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    """Isolate each test from ambient env vars and the warn-once registry."""
+    """Isolate each test from ambient env vars."""
     for name in (
-        WORKERS_ENV,
-        EXECUTOR_ENV,
-        BACKEND_ENV,
-        FLOW_REUSE_ENV,
         SERVE_RPS_ENV,
         SERVE_ADMISSION_ENV,
         SERVE_QUEUE_DEPTH_ENV,
         SERVE_SLOT_SECONDS_ENV,
         SERVE_METRICS_PORT_ENV,
         OBS_SLO_ENV,
-        BW_CLOSED_FORM_ENV,
-        BISECTION_ITERS_ENV,
     ):
         monkeypatch.delenv(name, raising=False)
-    reset_deprecation_warnings()
-    yield
-    reset_deprecation_warnings()
 
 
 class TestRuntimeConfig:
     def test_defaults_are_unspecified(self):
         config = RuntimeConfig()
-        assert config.executor is None
-        assert config.workers is None
-        assert config.caching_backend is None
-        assert config.flow_reuse is None
+        for f in dataclasses.fields(RuntimeConfig):
+            assert getattr(config, f.name) is None, f.name
 
     def test_validates_workers(self):
         with pytest.raises(ConfigurationError, match="workers"):
             RuntimeConfig(workers=0)
 
-    def test_validates_backend(self):
-        with pytest.raises(ConfigurationError, match="caching_backend"):
-            RuntimeConfig(caching_backend="magic")
-
     def test_frozen(self):
         with pytest.raises(Exception):
             RuntimeConfig().workers = 2  # type: ignore[misc]
+
+
+class TestKnobCreep:
+    """The runtime surface is a fixed list: adding a knob is a deliberate
+    change to these snapshots, never a side effect."""
+
+    def test_runtime_config_fields(self):
+        assert [f.name for f in dataclasses.fields(RuntimeConfig)] == [
+            "executor",
+            "workers",
+            "incremental",
+            "serve_rps",
+            "serve_admission",
+            "serve_queue_depth",
+            "serve_slot_seconds",
+            "serve_metrics_port",
+            "obs_slo",
+        ]
+
+    def test_environment_variables_read_by_the_package(self):
+        names = set()
+        for path in SRC.rglob("*.py"):
+            names.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
+        assert names == {
+            "REPRO_INCREMENTAL",
+            "REPRO_NESTED_WORKER",
+            "REPRO_BENCH_SCALE",
+            "REPRO_SERVE_RPS",
+            "REPRO_SERVE_ADMISSION",
+            "REPRO_SERVE_QUEUE_DEPTH",
+            "REPRO_SERVE_SLOT_SECONDS",
+            "REPRO_SERVE_METRICS_PORT",
+            "REPRO_OBS_SLO",
+        }
 
 
 class TestExecutorPrecedence:
@@ -102,52 +112,6 @@ class TestExecutorPrecedence:
     def test_explicit_spec_beats_config(self):
         ex = get_executor("thread:2", config=RuntimeConfig(executor="process:5"))
         assert (ex.kind, ex.workers) == ("thread", 2)
-
-    def test_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "process:5")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # config path must not touch env
-            ex = get_executor(config=RuntimeConfig(executor="thread:2"))
-        assert (ex.kind, ex.workers) == ("thread", 2)
-
-    def test_env_fallback_still_works(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "thread:4")
-        with pytest.warns(DeprecationWarning, match=EXECUTOR_ENV):
-            ex = get_executor()
-        assert (ex.kind, ex.workers) == ("thread", 4)
-
-
-class TestBackendAndFlowReuse:
-    def test_backend_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "lp")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolved_backend_pin(RuntimeConfig(caching_backend="flow")) == "flow"
-
-    def test_backend_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "lp")
-        with pytest.warns(DeprecationWarning, match=BACKEND_ENV):
-            assert resolved_backend_pin(None) == "lp"
-
-    def test_backend_env_validated(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "magic")
-        with pytest.raises(ConfigurationError):
-            with pytest.warns(DeprecationWarning):
-                resolved_backend_pin(None)
-
-    def test_flow_reuse_default_on(self):
-        assert resolved_flow_reuse(None) is True
-
-    def test_flow_reuse_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv(FLOW_REUSE_ENV, "0")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolved_flow_reuse(RuntimeConfig(flow_reuse=True)) is True
-
-    def test_flow_reuse_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv(FLOW_REUSE_ENV, "0")
-        with pytest.warns(DeprecationWarning, match=FLOW_REUSE_ENV):
-            assert resolved_flow_reuse(None) is False
 
 
 class TestServeKnobs:
@@ -265,112 +229,3 @@ class TestTelemetrySettings:
         monkeypatch.setenv(SERVE_METRICS_PORT_ENV, "not-a-port")
         with pytest.raises(ConfigurationError):
             resolved_serve_metrics_port(None)
-
-
-class TestWarnOnce:
-    def test_each_variable_warns_exactly_once(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "1")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            deprecated_env(WORKERS_ENV)
-            deprecated_env(WORKERS_ENV)
-            deprecated_env(WORKERS_ENV)
-        ours = [w for w in caught if WORKERS_ENV in str(w.message)]
-        assert len(ours) == 1
-        assert "RuntimeConfig(workers=...)" in str(ours[0].message)
-
-    def test_unset_variable_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert deprecated_env(WORKERS_ENV) is None
-
-    def test_distinct_variables_warn_independently(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "1")
-        monkeypatch.setenv(FLOW_REUSE_ENV, "1")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            deprecated_env(WORKERS_ENV)
-            deprecated_env(FLOW_REUSE_ENV)
-        messages = sorted(str(w.message).split(" ")[0] for w in caught)
-        assert messages == [FLOW_REUSE_ENV, WORKERS_ENV]
-
-
-class TestWaterfillKnobs:
-    """arg > config > env > default for the P2 kernel knobs."""
-
-    def test_closed_form_default_on(self):
-        assert resolved_bw_closed_form(None) is True
-
-    def test_closed_form_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv(BW_CLOSED_FORM_ENV, "0")
-        assert resolved_bw_closed_form(None) is False
-        monkeypatch.setenv(BW_CLOSED_FORM_ENV, "1")
-        assert resolved_bw_closed_form(None) is True
-
-    def test_closed_form_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BW_CLOSED_FORM_ENV, "0")
-        assert resolved_bw_closed_form(RuntimeConfig(bw_closed_form=True)) is True
-        monkeypatch.setenv(BW_CLOSED_FORM_ENV, "1")
-        assert (
-            resolved_bw_closed_form(RuntimeConfig(bw_closed_form=False)) is False
-        )
-
-    def test_closed_form_arg_beats_config(self):
-        cfg = RuntimeConfig(bw_closed_form=True)
-        assert resolved_bw_closed_form(cfg, False) is False
-        assert resolved_bw_closed_form(RuntimeConfig(bw_closed_form=False), True)
-
-    def test_bisection_iters_default(self):
-        assert resolved_bisection_iters(None) == 26
-
-    def test_bisection_iters_env(self, monkeypatch):
-        monkeypatch.setenv(BISECTION_ITERS_ENV, "40")
-        assert resolved_bisection_iters(None) == 40
-
-    def test_bisection_iters_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BISECTION_ITERS_ENV, "40")
-        assert resolved_bisection_iters(RuntimeConfig(bisection_iters=12)) == 12
-
-    def test_bisection_iters_arg_beats_config(self):
-        assert resolved_bisection_iters(RuntimeConfig(bisection_iters=12), 7) == 7
-
-    def test_bisection_iters_validated(self, monkeypatch):
-        with pytest.raises(ConfigurationError):
-            resolved_bisection_iters(None, 0)
-        with pytest.raises(ConfigurationError):
-            RuntimeConfig(bisection_iters=0)
-        monkeypatch.setenv(BISECTION_ITERS_ENV, "zero")
-        with pytest.raises(ConfigurationError):
-            resolved_bisection_iters(None)
-        monkeypatch.setenv(BISECTION_ITERS_ENV, "-3")
-        with pytest.raises(ConfigurationError):
-            resolved_bisection_iters(None)
-
-
-class TestBatchedTiesKnob:
-    """config > env > default for the tie-aware batched P1 acceptance.
-
-    ``REPRO_BATCHED_TIES`` is a *supported* kill switch (the CI A/B leg
-    sets it), not a deprecated fallback — resolution never warns.
-    """
-
-    def test_default_on(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolved_batched_ties(None) is True
-
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv(BATCHED_TIES_ENV, "0")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolved_batched_ties(None) is False
-        monkeypatch.setenv(BATCHED_TIES_ENV, "1")
-        assert resolved_batched_ties(None) is True
-
-    def test_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BATCHED_TIES_ENV, "0")
-        assert resolved_batched_ties(RuntimeConfig(batched_ties=True)) is True
-        monkeypatch.setenv(BATCHED_TIES_ENV, "1")
-        assert (
-            resolved_batched_ties(RuntimeConfig(batched_ties=False)) is False
-        )

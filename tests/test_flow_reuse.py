@@ -3,7 +3,7 @@
 The subgradient loop solves the same-*shaped* caching flow every iteration
 with different hold/fetch costs; ``caching_lp`` therefore pools built
 graphs and rewrites arc costs in place (``MinCostFlow.set_arc_costs`` +
-``reset``). These tests pin the contract that a reused graph solves to the
+``reset``). These tests pin the contract that a pooled graph solves to the
 exact same caches and objective as a freshly built one, over randomized
 ``(c, beta, x0)`` sequences, plus the low-level reset/cost-rewrite hooks.
 """
@@ -13,13 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.caching_lp import (
-    FLOW_REUSE_ENV,
-    _solve_single_sbs_flow,
-    solve_caching,
-)
+import repro.core.caching_lp as caching_lp
+from repro.core.caching_lp import _solve_single_sbs_flow
 from repro.exceptions import ConfigurationError
-from repro.network.topology import single_cell_network
 from repro.optim.mincostflow import MinCostFlow
 
 
@@ -75,39 +71,28 @@ class TestMinCostFlowReuseHooks:
 
 class TestSingleSbsFlowReuse:
     @pytest.mark.parametrize("shape", [(4, 5, 2), (7, 6, 3)])
-    def test_randomized_sequences_match_fresh(self, rng, shape):
+    def test_randomized_sequences_match_fresh(self, rng, shape, monkeypatch):
         """A pooled graph must replay fresh-build results exactly."""
         T, K, cap = shape
+        monkeypatch.setattr(caching_lp, "_TEMPLATE_POOL", {})
         for trial in range(12):
             c = rng.normal(scale=5.0, size=(T, K))
             beta = float(rng.uniform(0.0, 12.0))
             x0 = np.zeros(K)
             x0[rng.choice(K, size=rng.integers(0, cap + 1), replace=False)] = 1.0
-            x_fresh, obj_fresh = _solve_single_sbs_flow(
-                c, beta, cap, x0, reuse=False
-            )
+            # From the second trial on, the pool holds the graph the
+            # previous trial solved with other costs; an emptied pool makes
+            # the next solve build a fresh graph.
             x_reuse, obj_reuse = _solve_single_sbs_flow(
-                c, beta, cap, x0, reuse=True
+                c, beta, cap, x0, canonical=False
             )
+            caching_lp._TEMPLATE_POOL.clear()
+            x_fresh, obj_fresh = _solve_single_sbs_flow(
+                c, beta, cap, x0, canonical=False
+            )
+            assert len(caching_lp._TEMPLATE_POOL[(T, K, cap)]) == 1
             assert np.array_equal(x_fresh, x_reuse), trial
             assert obj_fresh == obj_reuse, trial
-
-    def test_env_toggle_matches(self, rng, monkeypatch):
-        net = single_cell_network(
-            num_items=8,
-            cache_size=3,
-            bandwidth=10.0,
-            replacement_cost=40.0,
-            omega_bs=rng.uniform(0, 1, 4),
-        )
-        mu = rng.uniform(0, 2, size=(6, 4, 8))
-        x0 = np.zeros((1, 8))
-        monkeypatch.setenv(FLOW_REUSE_ENV, "0")
-        fresh = solve_caching(net, mu, x0, backend="flow")
-        monkeypatch.setenv(FLOW_REUSE_ENV, "1")
-        reused = solve_caching(net, mu, x0, backend="flow")
-        assert np.array_equal(fresh.x, reused.x)
-        assert fresh.objective == reused.objective
 
     def test_zero_capacity_shortcut(self):
         x, obj = _solve_single_sbs_flow(np.ones((3, 4)), 1.0, 0, np.zeros(4))

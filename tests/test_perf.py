@@ -6,8 +6,6 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.perf.executor import (
-    EXECUTOR_ENV,
-    WORKERS_ENV,
     Executor,
     ProcessExecutor,
     SerialExecutor,
@@ -76,11 +74,6 @@ class TestExecutors:
 
 
 class TestSelection:
-    @pytest.fixture(autouse=True)
-    def _clean_env(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
-        monkeypatch.delenv(EXECUTOR_ENV, raising=False)
-
     def test_default_is_serial(self):
         assert get_executor().kind == "serial"
 
@@ -97,29 +90,8 @@ class TestSelection:
         assert get_executor("serial").kind == "serial"
         assert get_executor("process:1").kind == "serial"
 
-    def test_workers_env_selects_process(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        ex = get_executor()
-        assert ex.kind == "process" and ex.workers == 3
-
-    def test_executor_env_spec(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "thread:2")
-        ex = get_executor()
-        assert ex.kind == "thread" and ex.workers == 2
-
-    def test_explicit_spec_beats_env(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "thread:2")
-        assert get_executor("serial").kind == "serial"
-
     def test_shared_pool_reused(self):
         assert get_executor("thread:3") is get_executor("thread:3")
-
-    def test_default_workers_env(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "7")
-        assert default_workers() == 7
-        monkeypatch.setenv(WORKERS_ENV, "x")
-        with pytest.raises(ConfigurationError):
-            default_workers()
 
     def test_default_workers_without_env_positive(self):
         assert default_workers() >= 1
