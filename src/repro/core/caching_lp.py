@@ -81,10 +81,16 @@ class CachingSolution:
         Integral caching trajectory, shape ``(T, N, K)``.
     objective:
         The ``P1`` objective ``sum_t (h - sum mu x)`` at the solution.
+    per_sbs:
+        Each SBS's objective, in SBS order; ``objective`` is their sum
+        accumulated from ``0.0`` in that order, so the sum over any
+        contiguous block of SBSs is bitwise what a solve of that block
+        alone reports.
     """
 
     x: FloatArray
     objective: float
+    per_sbs: tuple[float, ...] = ()
 
 
 def class_prices(network: Network, mu: FloatArray) -> FloatArray:
@@ -213,12 +219,14 @@ def solve_caching(
 
     x = np.zeros((T, network.num_sbs, K))
     objective = 0.0
+    per_sbs = []
     for n, entry in enumerate(results):
         assert entry is not None
         xn, obj = entry
         x[:, n, :] = xn
         objective += obj
-    return CachingSolution(x=x, objective=objective)
+        per_sbs.append(obj)
+    return CachingSolution(x=x, objective=objective, per_sbs=tuple(per_sbs))
 
 
 def _solve_sbs_task(

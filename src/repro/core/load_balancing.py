@@ -60,10 +60,15 @@ class LoadBalancingSolution:
     objective:
         The solved objective: ``sum_t (f + g) + sum mu . y`` for ``P2``;
         ``sum_t (f + g)`` for the fixed-cache oracle.
+    per_sbs:
+        Each SBS's share of ``objective`` in SBS order (``objective`` is
+        their sum accumulated from ``0.0``), from the closed-form paths;
+        empty from FISTA, whose objective does not split per SBS.
     """
 
     y: FloatArray
     objective: float
+    per_sbs: tuple[float, ...] = ()
 
 
 def _uses_fast_path(problem: JointProblem) -> bool:
@@ -198,7 +203,7 @@ def _solve_p2_fast(
         y[:, classes, :] = y_n.reshape(T, len(classes), K)
         residual = W - u
         objective = float(scale * np.sum(residual**2)) + float(np.sum(mu_n * y_n))
-        return LoadBalancingSolution(y=y, objective=objective)
+        return LoadBalancingSolution(y=y, objective=objective, per_sbs=(objective,))
     G = net.num_classes // N
     if net.num_classes == N * G and np.array_equal(
         net.class_sbs, np.repeat(np.arange(N), G)
@@ -240,6 +245,7 @@ def _solve_p2_fast(
 
     y = np.zeros(problem.y_shape)
     objective = 0.0
+    per_sbs = []
     for n in range(N):
         classes = net.classes_of_sbs[n]
         J = counts[n] * K
@@ -250,8 +256,10 @@ def _solve_p2_fast(
             y_n = np.where(lam > 0, alloc_b[rows, :J] / lam, 0.0)
         y[:, classes, :] = y_n.reshape(T, counts[n], K)
         residual = W_b[rows] - u_b[rows]
-        objective += float(scale * np.sum(residual**2)) + float(np.sum(mu_n * y_n))
-    return LoadBalancingSolution(y=y, objective=objective)
+        part = float(scale * np.sum(residual**2)) + float(np.sum(mu_n * y_n))
+        objective += part
+        per_sbs.append(part)
+    return LoadBalancingSolution(y=y, objective=objective, per_sbs=tuple(per_sbs))
 
 
 def _solve_p2_fast_uniform(
@@ -321,9 +329,12 @@ def _solve_p2_fast_uniform(
     res_sq = ((W_b - u_b) ** 2).reshape(N, T).sum(axis=1)
     linear = np.multiply(mu_b, y_b, out=y_b).reshape(N, T * J).sum(axis=1)
     objective = 0.0
+    per_sbs = []
     for n in range(N):
-        objective += float(scale * res_sq[n]) + float(linear[n])
-    return LoadBalancingSolution(y=y, objective=objective)
+        part = float(scale * res_sq[n]) + float(linear[n])
+        objective += part
+        per_sbs.append(part)
+    return LoadBalancingSolution(y=y, objective=objective, per_sbs=tuple(per_sbs))
 
 
 def _waterfill_reference(

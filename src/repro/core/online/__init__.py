@@ -2,7 +2,11 @@
 
 from repro.core.online.base import OnlineSolveSettings
 from repro.core.online.chc import AFHC, CHC
-from repro.core.online.fhc import FixedHorizonTrajectory, run_fhc_variant
+from repro.core.online.fhc import (
+    FixedHorizonTrajectory,
+    run_fhc_variant,
+    run_fhc_variants,
+)
 from repro.core.online.rhc import RHC
 
 __all__ = [
@@ -12,4 +16,5 @@ __all__ = [
     "OnlineSolveSettings",
     "RHC",
     "run_fhc_variant",
+    "run_fhc_variants",
 ]

@@ -6,7 +6,9 @@ the continuous competitive ratio). :class:`OnlineSolveSettings` bundles the
 inner-solver knobs, and :func:`solve_window` applies them with warm-started
 multipliers, which is what keeps a 100-slot receding-horizon run fast: the
 window shifts by one slot, so the previous window's multipliers (shifted by
-one slot) are an excellent starting point.
+one slot) are an excellent starting point. :func:`solve_windows` solves
+independent windows — the FHC chains of CHC and AFHC — as one lockstep
+Algorithm 1 stack.
 
 When the scenario carries a fault schedule (:mod:`repro.faults`), windows
 are planned against the *effective* network observed at the decision slot —
@@ -22,12 +24,18 @@ original controllers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.config import RuntimeConfig, resolved_incremental
 from repro.core.caching_lp import CachingBackend
-from repro.core.primal_dual import PrimalDualResult, solve_primal_dual
+from repro.core.primal_dual import (
+    PrimalDualResult,
+    WindowProblem,
+    solve_primal_dual,
+    solve_primal_dual_stack,
+)
 from repro.faults.degrade import (
     degraded_network,
     evict_trajectory_to_fit,
@@ -90,6 +98,18 @@ class OnlineSolveSettings:
         return SolveCache() if self.resolved_incremental() else None
 
 
+@dataclass(frozen=True)
+class WindowRequest:
+    """One window a controller wants solved (see :func:`solve_window`)."""
+
+    decided_at: int
+    window_start: int
+    window: int
+    x_prev: FloatArray
+    mu_warm: FloatArray | None = None
+    x_warm: FloatArray | None = None
+
+
 def solve_window(
     scenario: Scenario,
     decided_at: int,
@@ -117,9 +137,73 @@ def solve_window(
     fault-free path the seeding is gated by ``settings.incremental``
     (cross-window reuse, default on). ``solve_cache`` carries the ``P1``
     memo across the caller's whole window sequence.
+
+    This is the stack of one: the same Algorithm 1 loop
+    :func:`solve_windows` runs for many windows.
     """
+    spec = _window_problem(
+        scenario,
+        WindowRequest(decided_at, window_start, window, x_prev, mu_warm, x_warm),
+        settings,
+    )
+    # Stamp the deciding slot onto every event the inner solver emits
+    # (solve_done, budget_exhausted), so traces tie each solve to its slot.
+    with slot_scope(spec.slot):
+        return solve_primal_dual(
+            spec.problem,
+            mu0=spec.mu0,
+            initial_candidates=spec.initial_candidates,
+            solve_cache=solve_cache,
+            **_solver_kwargs(settings),
+        )
+
+
+def solve_windows(
+    scenario: Scenario,
+    requests: Sequence[WindowRequest],
+    settings: OnlineSolveSettings,
+    solve_cache: SolveCache | None = None,
+) -> list[PrimalDualResult]:
+    """Solve independent windows as one lockstep Algorithm 1 stack.
+
+    Each request is prepared exactly as :func:`solve_window` prepares its
+    window, then all of them run through
+    :func:`repro.core.primal_dual.solve_primal_dual_stack`; results come
+    back in request order, each bit-identical to :func:`solve_window` on
+    that request. The requests must share the window length.
+    ``settings.max_seconds`` counts from the start of the stacked solve.
+    """
+    return solve_primal_dual_stack(
+        [_window_problem(scenario, r, settings) for r in requests],
+        solve_cache=solve_cache,
+        **_solver_kwargs(settings),
+    )
+
+
+def _solver_kwargs(settings: OnlineSolveSettings) -> dict:
+    config = (
+        RuntimeConfig(incremental=settings.incremental)
+        if settings.incremental is not None
+        else None
+    )
+    return dict(
+        max_iter=settings.max_iter,
+        gap_tol=settings.gap_tol,
+        caching_backend=settings.caching_backend,
+        ub_patience=settings.ub_patience,
+        max_seconds=settings.max_seconds,
+        config=config,
+    )
+
+
+def _window_problem(
+    scenario: Scenario, request: WindowRequest, settings: OnlineSolveSettings
+) -> WindowProblem:
+    """Build one request's window problem, warm start and seed."""
+    decided_at, window = request.decided_at, request.window
+    x_warm = request.x_warm
     predicted = scenario.predictor.predict_window(
-        max(decided_at, 0), window_start, window
+        max(decided_at, 0), request.window_start, window
     )
     faults = scenario.faults
     network = None
@@ -141,8 +225,9 @@ def solve_window(
         and x_warm.shape[0] == window
     ):
         candidates = (x_warm,)
-    problem = scenario.window_problem(predicted, x_prev, network=network)
+    problem = scenario.window_problem(predicted, request.x_prev, network=network)
     mu0 = None
+    mu_warm = request.mu_warm
     if mu_warm is not None and mu_warm.shape == (window, *predicted.shape[1:]):
         mu0 = mu_warm
     inc("window_solves")
@@ -150,26 +235,14 @@ def solve_window(
         inc("window_solves_warm_started")
     if candidates is not None:
         inc("window_solves_candidate_seeded")
-    config = (
-        RuntimeConfig(incremental=settings.incremental)
-        if settings.incremental is not None
-        else None
+    # The deciding slot stamps this window's solve_done/budget_exhausted
+    # events, so traces tie each solve to its slot.
+    return WindowProblem(
+        problem,
+        mu0=mu0,
+        initial_candidates=candidates,
+        slot=max(request.window_start, 0),
     )
-    # Stamp the deciding slot onto every event the inner solver emits
-    # (solve_done, budget_exhausted), so traces tie each solve to its slot.
-    with slot_scope(max(window_start, 0)):
-        return solve_primal_dual(
-            problem,
-            max_iter=settings.max_iter,
-            gap_tol=settings.gap_tol,
-            caching_backend=settings.caching_backend,
-            mu0=mu0,
-            ub_patience=settings.ub_patience,
-            initial_candidates=candidates,
-            max_seconds=settings.max_seconds,
-            config=config,
-            solve_cache=solve_cache,
-        )
 
 
 def record_cache_stats(cache: SolveCache | None, controller: str) -> None:

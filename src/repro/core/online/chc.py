@@ -1,7 +1,9 @@
 """Committed Horizon Control (Algorithm 3) and AFHC, with rounding.
 
 CHC with commitment level ``r`` runs the ``r`` phase-shifted FHC variants
-and *averages* their actions (Eqs. 36-37). Averaged caches are generally
+— in lockstep, one stacked window solve per step
+(:func:`repro.core.online.fhc.run_fhc_variants`) — and *averages* their
+actions (Eqs. 36-37). Averaged caches are generally
 fractional, so the paper's rounding policy (Theorem 3) is applied:
 threshold the averaged caches at ``rho* = (3 - sqrt(5))/2``, keep ``y``
 only where the rounded cache holds the item. AFHC is exactly CHC with
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.online.base import OnlineSolveSettings, record_cache_stats
-from repro.core.online.fhc import run_fhc_variant
+from repro.core.online.fhc import run_fhc_variants
 from repro.core.rounding import (
     optimal_rounding_threshold,
     round_caching,
@@ -82,19 +84,21 @@ class CHC:
             )
         )
         solves = 0
-        # One cache across all variants: they run sequentially, so sharing
-        # stays deterministic, and overlapping variant windows can answer
-        # each other's byte-identical P1 subproblems from the memo.
+        # The r variant chains advance in lockstep (each step is one
+        # stacked Algorithm 1 over every variant's next window), so they
+        # share one cache: a stack's P1 rows are looked up before any of
+        # them is solved, and every answer is the row's own exact optimum,
+        # so sharing never changes a trajectory.
         cache = self.settings.make_solve_cache()
-        for v in range(self.commitment):
-            traj = run_fhc_variant(
-                scenario,
-                variant=v,
-                window=self.window,
-                commitment=self.commitment,
-                settings=self.settings,
-                solve_cache=cache,
-            )
+        trajectories = run_fhc_variants(
+            scenario,
+            variants=range(self.commitment),
+            window=self.window,
+            commitment=self.commitment,
+            settings=self.settings,
+            solve_cache=cache,
+        )
+        for traj in trajectories:
             x_sum += traj.x
             y_sum += traj.y
             solves += traj.solves

@@ -10,6 +10,7 @@ policies are scored by exactly the same code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from repro.network.costs import (
     QuadraticOperatingCost,
     total_cost,
 )
-from repro.network.topology import Network
+from repro.network.topology import Network, stack_networks
 from repro.types import FloatArray, INTEGRALITY_ATOL, is_binary
 
 
@@ -138,8 +139,7 @@ class JointProblem:
             raise ConfigurationError("coupling constraint y <= x violated")
         # Constraint (2): per-SBS bandwidth.
         load = (self.demand * y).sum(axis=2)  # (T, M)
-        per_sbs = np.zeros((self.horizon, self.network.num_sbs))
-        np.add.at(per_sbs, (slice(None), self.network.class_sbs), load)
+        per_sbs = self.network.sum_classes_per_sbs(load)
         tol = atol * np.maximum(1.0, self.network.bandwidths)
         if np.any(per_sbs > self.network.bandwidths[None, :] + tol[None, :]):
             worst = float((per_sbs - self.network.bandwidths[None, :]).max())
@@ -162,3 +162,34 @@ class JointProblem:
         if lo < hi:
             padded[lo - start : hi - start] = self.demand[lo:hi]
         return replace(self, demand=padded, x_initial=x_initial)
+
+
+def stack_problems(problems: Sequence[JointProblem]) -> JointProblem:
+    """One problem whose SBS blocks are ``problems``' networks, in order.
+
+    The network is :func:`repro.network.topology.stack_networks` of the
+    blocks; demand is concatenated along the class axis and ``x_initial``
+    along the SBS axis. The blocks must share the horizon, the catalog and
+    the operating-cost shapes. Every per-SBS row of the stacked problem
+    is the corresponding row of its block, which is what lets the lockstep
+    Algorithm 1 (:func:`repro.core.primal_dual.solve_primal_dual_stack`)
+    answer many windows with one kernel call. A single problem is returned
+    as is.
+    """
+    if len(problems) == 1:
+        return problems[0]
+    first = problems[0]
+    for p in problems[1:]:
+        if p.horizon != first.horizon:
+            raise DimensionMismatchError(
+                f"stacked problems must share the horizon: {p.horizon} != {first.horizon}"
+            )
+        if p.bs_cost != first.bs_cost or p.sbs_cost != first.sbs_cost:
+            raise ConfigurationError("stacked problems must share the operating costs")
+    return JointProblem(
+        network=stack_networks([p.network for p in problems]),
+        demand=np.concatenate([p.demand for p in problems], axis=1),
+        x_initial=np.concatenate([p.x_initial for p in problems], axis=0),
+        bs_cost=first.bs_cost,
+        sbs_cost=first.sbs_cost,
+    )

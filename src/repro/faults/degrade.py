@@ -252,8 +252,7 @@ def assert_feasible_under_faults(
         )
 
     load = (rates * y).sum(axis=2)  # (T, M)
-    per_sbs = np.zeros((T, net.num_sbs))
-    np.add.at(per_sbs, (slice(None), net.class_sbs), load)
+    per_sbs = net.sum_classes_per_sbs(load)
     tol = atol * np.maximum(1.0, states.bandwidths)
     bandwidth_slack = float((per_sbs - states.bandwidths).max())
     if np.any(per_sbs > states.bandwidths + tol):

@@ -234,13 +234,42 @@ def total_cost(
         if x_initial is None
         else x_initial
     )
+    mk = (network.num_classes, network.num_items)
+    if demand.shape[1:] != mk or y.shape[1:] != mk:
+        raise DimensionMismatchError(
+            f"demand {demand.shape} and y {y.shape} slots must have shape (M, K) = {mk}"
+        )
+    nk = (network.num_sbs, network.num_items)
+    if x.shape[1:] != nk or prev.shape != nk:
+        raise DimensionMismatchError(
+            f"x slots have shape {x.shape[1:]}, x_initial {prev.shape}, expected (N, K) = {nk}"
+        )
+    bs_cost = bs_cost or QuadraticOperatingCost()
+    sbs_cost = sbs_cost or QuadraticOperatingCost()
+    # The per-slot quantities of bs/sbs_operating_cost, replacement_cost
+    # and replacement_count, computed for all slots at once: row-wise
+    # reductions are bitwise the per-slot ones, one bincount over (slot,
+    # SBS) buckets adds each slot's classes in the same order as the
+    # per-slot bincount, and the totals accumulate slot by slot.
+    N = network.num_sbs
+    bucket = (np.arange(T)[:, None] * N + network.class_sbs[None, :]).ravel()
+
+    def per_sbs(per_class: FloatArray) -> FloatArray:
+        return np.bincount(
+            bucket, weights=per_class.ravel(), minlength=T * N
+        ).reshape(T, N)
+
+    bs_agg = per_sbs(network.omega_bs * ((1.0 - y) * demand).sum(axis=2))
+    sbs_agg = per_sbs(network.omega_sbs * (y * demand).sum(axis=2))
+    step = x - np.concatenate([prev[None], x[:-1]])
+    inserted = np.clip(step, 0.0, None).sum(axis=2)
+    counts = np.count_nonzero(step > 1e-6, axis=(1, 2))
     out = CostBreakdown.zero()
     for t in range(T):
         out = out + CostBreakdown(
-            bs_operating_cost(network, demand[t], y[t], bs_cost),
-            sbs_operating_cost(network, demand[t], y[t], sbs_cost),
-            replacement_cost(network, x[t], prev),
-            replacement_count(x[t], prev),
+            bs_cost.evaluate(bs_agg[t]),
+            sbs_cost.evaluate(sbs_agg[t]),
+            float(np.dot(network.replacement_costs, inserted[t])),
+            int(counts[t]),
         )
-        prev = x[t]
     return out

@@ -214,6 +214,39 @@ class Network:
         return out
 
 
+def stack_networks(networks: Sequence[Network]) -> Network:
+    """One network whose SBS blocks are ``networks``, in order.
+
+    Block ``b``'s SBSs and MU classes keep their order and parameters and
+    are renumbered after the blocks before it, so every per-SBS row of the
+    stacked network is the corresponding row of its block. The blocks
+    must share the catalog; the BS is the first block's. A single network
+    is returned as is.
+    """
+    if len(networks) == 1:
+        return networks[0]
+    if not networks:
+        raise ConfigurationError("need at least one network to stack")
+    catalog = networks[0].catalog
+    sbss: list[SmallBaseStation] = []
+    classes: list[MUClass] = []
+    for net in networks:
+        if net.catalog != catalog:
+            raise ConfigurationError("stacked networks must share the catalog")
+        n0, m0 = len(sbss), len(classes)
+        sbss.extend(
+            SmallBaseStation(
+                n0 + s.sbs_id, s.cache_size, s.bandwidth, s.replacement_cost
+            )
+            for s in net.sbss
+        )
+        classes.extend(
+            MUClass(m0 + c.class_id, n0 + c.sbs_id, c.omega_bs, c.omega_sbs)
+            for c in net.mu_classes
+        )
+    return Network(catalog, tuple(sbss), tuple(classes), networks[0].bs)
+
+
 def single_cell_network(
     *,
     num_items: int,

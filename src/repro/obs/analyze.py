@@ -17,8 +17,9 @@ kind                  fires when
                       (info — context for correlating the rest)
 ``convergence_stall`` >= 3 consecutive non-converged ``solve_done`` with
                       < 5% relative gap improvement (gap plateau);
-                      ``stopped_by_patience`` solves are exempt — the
-                      online ub-patience early exit is by design
+                      solves whose ``stop_reason`` is ``patience`` are
+                      exempt — the online ub-patience early exit is by
+                      design
 ``solver_storm``      a cluster of ``budget_exhausted`` /
                       ``stopped_by_budget`` solves / fallback-bailout log
                       lines (the P1 fallback storm signature)
@@ -157,12 +158,15 @@ def _detect_convergence_stall(events: Sequence[TraceEvent]) -> list[Finding]:
         data = event.data
         converged = bool(data.get("converged", False))
         # Online window solves stop early once the feasible incumbent
-        # stagnates (ub_patience): an intentional exit, not a stall.
-        patience = bool(data.get("stopped_by_patience", False))
+        # stagnates (ub_patience): an intentional exit, not a stall. Traces
+        # written before solves recorded a stop_reason carry the boolean.
+        reason = data.get("stop_reason")
+        if reason is None and data.get("stopped_by_patience", False):
+            reason = "patience"
         gap_raw = data.get("gap")
         gap = float(gap_raw) if isinstance(gap_raw, (int, float)) else None
         slot = event.slot if event.slot is not None else -1
-        if converged or patience or gap is None:
+        if converged or reason in ("gap", "patience") or gap is None:
             close_run()
             continue
         if run:

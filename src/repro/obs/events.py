@@ -16,7 +16,7 @@ kind                 emitted when
 ===================  ========================================================
 ``slot_start``       the engine begins scoring a slot (demand volume)
 ``slot_end``         the engine finishes a slot (itemized realized cost)
-``solve_done``       Algorithm 1 terminates (iterations, gap, bounds)
+``solve_done``       Algorithm 1 terminates (iterations, gap, bounds, stop reason)
 ``cache_insert``     a slot installs new contents (count)
 ``cache_evict``      a slot drops contents (count)
 ``reroute``          a down SBS's traffic falls back to the BS

@@ -242,18 +242,33 @@ def waterfill_batch(
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(lam_r > 0, mu[rows] / lam_r, _INF)
 
-    def full_fill(
-        rows: IntArray, r: FloatArray, *, with_alloc: bool, zero_slope: bool = False
-    ) -> tuple[FloatArray | None, FloatArray]:
-        om = omega[rows]
-        cp = caps[rows]
+    def full_fill(rows: IntArray, r: FloatArray) -> tuple[FloatArray, FloatArray]:
+        """One bandwidth-capped greedy pass at residual ``r`` over rows whose
+        cap-positive items all have slope zero (``kappa = 2 s r omega``).
+
+        When every row has zero-cap columns, each row's cap-positive
+        columns are gathered to the left in column order, padded with
+        zero-cap columns to the widest row: stacked rows (SBSs, lockstep
+        windows) route different items, and the column drop above keeps
+        their union. Like that drop, the gather is bitwise invisible — a
+        zero-cap item is never eligible, sorts to the +inf tail, adds +0.0
+        to both scans and is allocated nothing.
+        """
+        ridx = np.arange(rows.size)[:, None]
+        nz = caps[rows] > 0
+        width = max(int(nz.sum(axis=1).max()), 1)
+        if width < J:
+            cols = np.argsort(~nz, axis=1, kind="stable")[:, :width]
+            cp = caps[rows[:, None], cols]
+            om = omega[rows[:, None], cols]
+        else:
+            cols = None
+            cp = caps[rows]
+            om = omega[rows]
         kappa = two_s * r[:, None] * om
-        if not zero_slope:
-            kappa -= slope_of(rows)
         eligible = (kappa > 0) & (cp > 0)
         key = np.where(eligible, -kappa, _INF)
         order = np.argsort(key, axis=1, kind="stable")
-        ridx = np.arange(rows.size)[:, None]
         caps_sorted = np.where(eligible, cp, 0.0)[ridx, order]
         cum = np.cumsum(caps_sorted, axis=1)
         alloc_sorted = np.clip(
@@ -262,10 +277,8 @@ def waterfill_batch(
         # Sequential scan instead of a blocked dot keeps the value
         # invariant to trailing zero padding.
         u = np.cumsum(alloc_sorted * om[ridx, order], axis=1)[:, -1]
-        alloc = None
-        if with_alloc:
-            alloc = np.zeros_like(cp)
-            alloc[ridx, order] = alloc_sorted
+        alloc = np.zeros((rows.size, J))
+        alloc[ridx, order if cols is None else cols[ridx, order]] = alloc_sorted
         return alloc, u
 
     # Per-SBS shortcut: when no item of the group carries a positive slope
@@ -289,10 +302,7 @@ def waterfill_batch(
         # Every cap-positive item of a single-pass group has slope exactly
         # zero, so the zero-slope fill is bit-identical and skips the
         # (R, J) division.
-        alloc, u = full_fill(
-            single, np.maximum(W[single], 1.0), with_alloc=True, zero_slope=True
-        )
-        assert alloc is not None
+        alloc, u = full_fill(single, np.maximum(W[single], 1.0))
         alloc_out[single] = alloc
         u_out[single] = u
 

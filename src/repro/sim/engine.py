@@ -245,8 +245,7 @@ def _repair_decided_y(
     )
     y = np.clip(y_decided, 0.0, 1.0) * x[:, net.class_sbs, :]
     load = (scenario.demand.rates * y).sum(axis=2)  # (T, M)
-    per_sbs = np.zeros((scenario.horizon, net.num_sbs))
-    np.add.at(per_sbs, (slice(None), net.class_sbs), load)
+    per_sbs = net.sum_classes_per_sbs(load)
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(per_sbs > budgets, budgets / per_sbs, 1.0)
     return y * scale[:, net.class_sbs, None]

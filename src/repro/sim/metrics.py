@@ -152,8 +152,7 @@ def compute_edge_metrics(
 
     # Per-SBS bandwidth utilization.
     load_per_class = (demand * y).sum(axis=2)  # (T, M)
-    per_sbs_load = np.zeros((T, network.num_sbs))
-    np.add.at(per_sbs_load, (slice(None), network.class_sbs), load_per_class)
+    per_sbs_load = network.sum_classes_per_sbs(load_per_class)
     with np.errstate(divide="ignore", invalid="ignore"):
         utilization = np.where(
             network.bandwidths > 0,

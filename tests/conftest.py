@@ -18,6 +18,31 @@ from repro.workload.demand import DemandMatrix, paper_demand
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.load_profile("tier1")
 
+# ``pytest --hypothesis-profile=explore`` is the scheduled random search:
+# fresh examples every run, and each property test draws
+# ``EXPLORE_FACTOR`` times its own ``max_examples`` (a test's explicit
+# ``@settings(max_examples=...)`` would otherwise override any profile).
+# Falsifying cases it finds are pinned with ``@example``.
+settings.register_profile("explore", derandomize=False, database=None, print_blob=True)
+EXPLORE_FACTOR = 10
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("hypothesis_profile", None) != "explore":
+        return
+    scaled = set()
+    for item in items:
+        test = getattr(getattr(item, "function", None), "__func__", None) or getattr(
+            item, "function", None
+        )
+        if not getattr(test, "is_hypothesis_test", False) or id(test) in scaled:
+            continue
+        scaled.add(id(test))
+        own = test._hypothesis_internal_use_settings
+        test._hypothesis_internal_use_settings = settings(
+            own, max_examples=own.max_examples * EXPLORE_FACTOR
+        )
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:

@@ -260,6 +260,35 @@ class TestClassSums:
             assert np.array_equal(net.sum_classes_per_sbs(values), ref)
         assert np.array_equal(class_prices(net, values[..., None]), ref[..., None])
 
+    @settings(max_examples=20, deadline=None)
+    @given(dims)
+    def test_per_sbs_loads_match_add_at(self, d):
+        # The (T, M) call shape of the bandwidth checks and metrics
+        # (JointProblem.check_feasible, the realized-y repair of
+        # sim.engine, the fault audit, edge metrics): per-class loads
+        # (demand * y).sum(axis=2), some classes idle, summed per SBS.
+        seed, N, K, T, C = d
+        rng = np.random.default_rng(seed)
+        prob = _multi_problem(rng, N=N, K=K, T=T, C=C)
+        y = rng.uniform(0.0, 1.0, prob.y_shape) * (rng.random(prob.y_shape) > 0.5)
+        load = (prob.demand * y).sum(axis=2)
+        ref = np.zeros((T, N))
+        np.add.at(ref, (slice(None), prob.network.class_sbs), load)
+        assert prob.network.sum_classes_per_sbs(load).tobytes() == ref.tobytes()
+
+    def test_sbs_without_classes_sums_to_zero(self):
+        net = Network(
+            ContentCatalog(2),
+            tuple(SmallBaseStation(n, 1, 1.0, 1.0) for n in range(3)),
+            (MUClass(0, 0, 1.0), MUClass(1, 2, 1.0), MUClass(2, 2, 0.5)),
+        )
+        load = np.array([[1.5, 2.0, 0.25], [0.0, 3.0, 1.0]])
+        ref = np.zeros((2, 3))
+        np.add.at(ref, (slice(None), net.class_sbs), load)
+        out = net.sum_classes_per_sbs(load)
+        assert out.tobytes() == ref.tobytes()
+        assert out[:, 1].tobytes() == np.zeros(2).tobytes()
+
     def test_uniform_contiguous_classes_use_slices(self):
         net = Network(
             ContentCatalog(4),
@@ -292,6 +321,30 @@ def _random_stack(rng, R, J):
 
 
 class TestWaterfillKernel:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 40))
+    def test_zero_slope_pass_matches_reference(self, seed, R, J):
+        """The fixed-cache oracle's single pass gathers each row's
+        cap-positive columns. Rows with different supports — stacked SBSs
+        or lockstep windows, whose union the column drop keeps — must fill
+        exactly like the reference's full-row greedy."""
+        rng = np.random.default_rng(seed)
+        lam = rng.uniform(0.0, 3.0, size=(R, J)) * (rng.random((R, J)) > 0.3)
+        support = rng.random((R, J)) < rng.uniform(0.0, 0.6, size=(R, 1))
+        caps = lam * support
+        omega = np.round(rng.uniform(0.05, 1.0, size=(R, J)), 1)  # ties
+        mu = np.zeros((R, J))
+        W = (omega * lam).sum(axis=1) * rng.uniform(0.5, 1.5, size=R)
+        bw = rng.uniform(0.0, 4.0, size=R) * (rng.random(R) > 0.1)
+        alloc, u = waterfill_batch(lam, caps, omega, mu, W, bw, 1.0)
+        for i in range(R):
+            rows = slice(i, i + 1)
+            ref_alloc, ref_u = _waterfill_reference(
+                lam[rows], caps[rows], omega[i], mu[rows], W[rows], float(bw[i]), 1.0
+            )
+            assert alloc[i].tobytes() == ref_alloc[0].tobytes()
+            assert u[i] == pytest.approx(ref_u[0], rel=1e-12, abs=1e-12)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 9))
     def test_early_exit_bitwise(self, seed, R, J):

@@ -187,3 +187,57 @@ def test_replacement_cost_triangle(seed: int):
     direct = replacement_cost(net, c, a)
     detour = replacement_cost(net, b, a) + replacement_cost(net, c, b)
     assert direct <= detour + 1e-9
+
+
+def _per_slot_total(network, demand, x, y, x_initial, cost):
+    """The slot-by-slot sum of Eqs. 5, 6 and 8 that ``total_cost`` vectorizes."""
+    prev = x_initial
+    out = CostBreakdown.zero()
+    for t in range(demand.shape[0]):
+        out = out + CostBreakdown(
+            bs_operating_cost(network, demand[t], y[t], cost),
+            sbs_operating_cost(network, demand[t], y[t], cost),
+            replacement_cost(network, x[t], prev),
+            replacement_count(x[t], prev),
+        )
+        prev = x[t]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    N=st.integers(1, 5),
+    K=st.integers(1, 12),
+    T=st.integers(1, 8),
+    shape=st.sampled_from(["quadratic", "linear"]),
+)
+def test_total_cost_equals_per_slot_sum_bitwise(seed, N, K, T, shape):
+    """All-slot total_cost is bit for bit the per-slot accumulation: uneven
+    classes (an SBS may have none), fractional x, both cost shapes."""
+    from repro.network import ContentCatalog, MUClass, Network, SmallBaseStation
+
+    rng = np.random.default_rng(seed)
+    classes = []
+    for n in range(N):
+        for _ in range(int(rng.integers(0, 4))):
+            classes.append(
+                MUClass(len(classes), n, float(rng.uniform(0, 2)), float(rng.uniform(0, 1)))
+            )
+    if not classes:
+        classes.append(MUClass(0, 0, 1.0))
+    net = Network(
+        ContentCatalog(K),
+        tuple(SmallBaseStation(n, K, 1.0, float(rng.uniform(0, 9))) for n in range(N)),
+        tuple(classes),
+    )
+    M = len(classes)
+    demand = rng.uniform(0, 5, (T, M, K)) * (rng.random((T, M, K)) > 0.3)
+    x = rng.uniform(0, 1, (T, N, K)) * (rng.random((T, N, K)) > 0.5)
+    y = rng.uniform(0, 1, (T, M, K))
+    x0 = (rng.random((N, K)) > 0.5).astype(float)
+    cost = QuadraticOperatingCost(0.5) if shape == "quadratic" else LinearOperatingCost(2.0)
+    got = total_cost(net, demand, x, y, x_initial=x0, bs_cost=cost, sbs_cost=cost)
+    want = _per_slot_total(net, demand, x, y, x0, cost)
+    assert got == want
+    assert np.float64(got.total).tobytes() == np.float64(want.total).tobytes()
