@@ -7,8 +7,8 @@ EXPERIMENTS.md for the measured factors): offline <= RHC <= CHC/AFHC <=
 LRFU, online savings strictly positive.
 
 This bench also doubles as the parallel-runtime regression check: it runs
-the comparison serially — recording the incremental re-solve counters into
-``solve_counters`` — and again through a worker pool, asserting the cost
+the comparison serially — recording the ``P1`` memo and batched-path
+counters into ``solve_counters`` — and again through a worker pool, asserting the cost
 metrics are bit-identical. Worker count is clamped to the host's cores; on
 a single-core host the process pool would only measure IPC overhead, so
 the identity check runs on a 2-thread pool instead and the record carries
@@ -29,7 +29,6 @@ from repro.api import (
     render_headline_table,
     sweep_to_dict,
 )
-from repro.config import resolved_incremental
 
 PARALLEL_WORKERS = 4
 
@@ -105,7 +104,6 @@ def test_headline_beta50(benchmark, bench_scale, save_report, save_json):
         "workers": workers,
         "executor": executor,
         "cpu_count": cpu_count,
-        "incremental": resolved_incremental(None),
         "solve_counters": _solve_counters(recorder),
         "costs_identical": True,
         "sweep": sweep_to_dict(sweep),
@@ -147,39 +145,33 @@ def test_headline_beta50(benchmark, bench_scale, save_report, save_json):
     # RHC is (near-)closest to offline among the online algorithms.
     assert rhc <= min(chc, afhc) * 1.05
 
-    # With the incremental layer on, the memo must actually be exercised
-    # (the best-dual recovery and stall re-anchor guarantee hits on the
-    # online legs).
-    if payload["incremental"]:
-        assert payload["solve_counters"]["p1_memo_hits"] > 0
+    # The memo must actually be exercised (the best-dual recovery and
+    # stall re-anchor revisit prices on the online legs).
+    counters = payload["solve_counters"]
+    assert counters["p1_memo_hits"] > 0
 
     # Every memo miss must be accounted for by the batched pass: either
     # answered there or counted as a fallback to the per-SBS backends.
-    # (Misses are only counted when the memo is active, so the identity
-    # needs the incremental layer.)
-    if payload["incremental"]:
-        counters = payload["solve_counters"]
-        assert (
-            counters["p1_batched_solves"] + counters["p1_batched_fallbacks"]
-            == counters["p1_memo_misses"]
+    assert (
+        counters["p1_batched_solves"] + counters["p1_batched_fallbacks"]
+        == counters["p1_memo_misses"]
+    )
+    # Tie-aware acceptance closes the fallback storm: the paper's
+    # uniform-cost scenarios are tie-degenerate by construction, and
+    # with the canonical discipline those rows are accepted, not
+    # punted to the per-SBS backends. Gate the rate on the quick scale
+    # (the scale CI runs and the one the threshold was measured on).
+    if bench_scale.name == "quick":
+        misses = counters["p1_memo_misses"]
+        rate = counters["p1_batched_fallbacks"] / misses if misses else 0.0
+        assert rate <= 0.05, (
+            f"batched P1 fallback rate {rate:.3f} > 0.05 "
+            f"({counters['p1_batched_fallbacks']:.0f} of {misses:.0f} "
+            "misses fell back to the per-SBS backends)"
         )
-        # Tie-aware acceptance closes the fallback storm: the paper's
-        # uniform-cost scenarios are tie-degenerate by construction, and
-        # with the canonical discipline those rows are accepted, not
-        # punted to the per-SBS backends. Gate the rate on the quick scale
-        # (the scale CI runs and the one the threshold was measured on).
-        if bench_scale.name == "quick":
-            misses = counters["p1_memo_misses"]
-            rate = counters["p1_batched_fallbacks"] / misses if misses else 0.0
-            assert rate <= 0.05, (
-                f"batched P1 fallback rate {rate:.3f} > 0.05 "
-                f"({counters['p1_batched_fallbacks']:.0f} of {misses:.0f} "
-                "misses fell back to the per-SBS backends)"
-            )
 
     # Every bandwidth-bound P2 row is accounted for: answered by the
     # closed-form parametric solve or counted as a bisection fallback.
-    counters = payload["solve_counters"]
     assert (
         counters["p2_bw_closed_form"] + counters["p2_bisection_fallbacks"]
         == counters["p2_bw_bound_rows"]

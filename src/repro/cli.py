@@ -202,8 +202,6 @@ def _cmd_serve(args: argparse.Namespace) -> dict | None:
 def _cmd_bench(args: argparse.Namespace) -> dict | None:
     if getattr(args, "bench_command", None) == "diff":
         return _cmd_bench_diff(args)
-    if getattr(args, "bench_command", None) == "matrix":
-        return _cmd_bench_matrix(args)
     if getattr(args, "bench_command", None) == "profile":
         return _cmd_bench_profile(args)
     bench_dir = Path(args.path) if args.path else _default_bench_dir()
@@ -225,54 +223,6 @@ def _cmd_bench(args: argparse.Namespace) -> dict | None:
     if code != 0:
         raise SystemExit(int(code))
     return None
-
-
-def _cmd_bench_matrix(args: argparse.Namespace) -> dict | None:
-    """``repro bench matrix`` — the executor x incremental strategy grid.
-
-    Each cell's wall-time lands as a top-level ``<cell>_seconds`` field of
-    ``BENCH_matrix.json``, so two matrix records diff with the standard
-    ``repro bench diff`` wall-time gate; the serial baseline's sweep
-    payload makes ``--gate-costs`` work too. Exits non-zero when any cell
-    drifts from the baseline's cost metrics (``costs_identical`` false).
-    """
-    import json
-
-    from repro.obs import run_manifest, write_manifest
-    from repro.perf.benchmatrix import run_bench_matrix
-
-    workers = [int(w) for w in args.workers.split(",") if w.strip()]
-    record = run_bench_matrix(
-        beta=args.beta,
-        horizon=args.horizon,
-        workers=workers,
-        verbose=True,
-    )
-    out_dir = Path(args.out) if args.out else _default_bench_dir()
-    if out_dir is None:
-        print("benchmarks directory not found; pass --out", file=sys.stderr)
-        raise SystemExit(2)
-    results = out_dir / "results" if args.out is None else out_dir
-    results.mkdir(parents=True, exist_ok=True)
-    path = results / "BENCH_matrix.json"
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    manifest = run_manifest(
-        seed=record["seeds"][0],
-        config={
-            "bench": "matrix",
-            "beta": record["beta"],
-            "horizon": record["horizon"],
-            "cells": record["cells"],
-        },
-    )
-    write_manifest(results / "BENCH_matrix.manifest.json", manifest)
-    print(f"[saved to {path}]")
-    if not record["costs_identical"]:
-        print("FAIL: a matrix cell drifted from the baseline cost metrics")
-        raise SystemExit(1)
-    return record
 
 
 def _cmd_bench_profile(args: argparse.Namespace) -> dict | None:
@@ -511,7 +461,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     pb.add_argument("--filter", type=str, default=None, help="pytest -k expression")
     pb.add_argument("--path", type=str, default=None, help="benchmarks directory")
     pb_sub = pb.add_subparsers(
-        dest="bench_command", metavar="{run,diff,matrix,profile}"
+        dest="bench_command", metavar="{run,diff,profile}"
     )
     pb_run = pb_sub.add_parser("run", help="run the suite (the default)")
     # SUPPRESS keeps values parsed before the sub-verb ('bench --scale full
@@ -521,23 +471,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     pb_run.add_argument("--filter", type=str, default=argparse.SUPPRESS)
     pb_run.add_argument("--path", type=str, default=argparse.SUPPRESS)
-    pb_matrix = pb_sub.add_parser(
-        "matrix",
-        help="executor x incremental strategy grid -> BENCH_matrix.json",
-    )
-    pb_matrix.add_argument("--beta", type=float, default=50.0)
-    pb_matrix.add_argument(
-        "--horizon", type=int, default=20, help="scenario horizon per cell"
-    )
-    pb_matrix.add_argument(
-        "--workers",
-        type=str,
-        default="2,4",
-        help="comma-separated pool widths in [2, 8] (default 2,4)",
-    )
-    pb_matrix.add_argument(
-        "--out", type=str, default=None, help="output directory for the record"
-    )
     pb_profile = pb_sub.add_parser(
         "profile",
         help="run one bench leg under cProfile -> PROFILE_<leg>.txt",

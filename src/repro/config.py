@@ -1,15 +1,16 @@
 """Runtime configuration: one typed object instead of scattered env reads.
 
 :class:`RuntimeConfig` carries the runtime knobs — executor and worker
-count, the incremental re-solve layer, and the serve runtime's settings —
-as an explicit argument accepted across the library and by every
-:mod:`repro.api` entry point. Solver paths are not configurable: each
-subproblem has one production path (DESIGN.md §7).
+count, and the serve runtime's settings — as an explicit argument accepted
+across the library and by every :mod:`repro.api` entry point. No knob
+changes a cost: solver paths are not configurable (each subproblem has one
+production path), and the ``P1`` memo is a pure cache that is always on
+(DESIGN.md §7).
 
 Precedence, everywhere a knob is consulted: **explicit argument >
 ``RuntimeConfig`` field > environment > built-in default**. Only the
-variables named in this module are read: ``REPRO_INCREMENTAL`` and the
-serve/telemetry fallbacks below.
+variables named in this module are read: the serve/telemetry fallbacks
+below.
 """
 
 from __future__ import annotations
@@ -18,11 +19,6 @@ import os
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
-
-#: Switch for the incremental re-solve layer. ``0`` disables; anything
-#: else enables. Unlike a pure performance knob it may change
-#: online-policy costs (cross-window warm candidates steer the ascent).
-INCREMENTAL_ENV = "REPRO_INCREMENTAL"
 
 #: Environment fallbacks for the serve runtime (:mod:`repro.serve`); CI and
 #: deployment wrappers set them. Precedence at every consultation point:
@@ -61,11 +57,6 @@ class RuntimeConfig:
     workers:
         Worker count for parallel fan-outs; overrides a count embedded in
         ``executor``.
-    incremental:
-        Whether the incremental re-solve layer is active (default on):
-        the per-SBS ``P1`` memo and cross-window warm-candidate seeding in
-        the online controllers. ``REPRO_INCREMENTAL=0`` is the environment
-        override.
     serve_rps:
         Open-loop arrival rate for the serve runtime (requests/second;
         default 200). ``REPRO_SERVE_RPS`` is the environment override.
@@ -95,7 +86,6 @@ class RuntimeConfig:
 
     executor: str | None = None
     workers: int | None = None
-    incremental: bool | None = None
     serve_rps: float | None = None
     serve_admission: str | None = None
     serve_queue_depth: int | None = None
@@ -140,13 +130,6 @@ class RuntimeConfig:
             from repro.obs.live import parse_slo_specs
 
             parse_slo_specs(self.obs_slo)
-
-
-def resolved_incremental(config: RuntimeConfig | None) -> bool:
-    """Incremental re-solve layer: config field, else env, else on."""
-    if config is not None and config.incremental is not None:
-        return config.incremental
-    return os.environ.get(INCREMENTAL_ENV, "") != "0"
 
 
 def _serve_env_float(name: str) -> float | None:

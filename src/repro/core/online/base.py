@@ -6,19 +6,18 @@ the continuous competitive ratio). :class:`OnlineSolveSettings` bundles the
 inner-solver knobs, and :func:`solve_window` applies them with warm-started
 multipliers, which is what keeps a 100-slot receding-horizon run fast: the
 window shifts by one slot, so the previous window's multipliers (shifted by
-one slot) are an excellent starting point. :func:`solve_windows` solves
-independent windows — the FHC chains of CHC and AFHC — as one lockstep
-Algorithm 1 stack.
+one slot) are an excellent starting point, and the previous window's
+caching trajectory, shifted the same way, seeds the solve as a feasible
+incumbent. :func:`solve_windows` solves independent windows — the FHC
+chains of :mod:`repro.core.online.fhc` — as one lockstep Algorithm 1 stack.
 
 When the scenario carries a fault schedule (:mod:`repro.faults`), windows
 are planned against the *effective* network observed at the decision slot —
 the persistence assumption: the currently-observed degradation is assumed
 to last through the window. The installed caches handed to the window
-problem are already evicted-to-fit by the physical system (controllers
-track them with :func:`repro.faults.realize_slot`), and a previous window's
-trajectory can seed the solve as a warm feasible candidate. All of this is
-gated on faults being active, so fault-free runs are bit-identical to the
-original controllers.
+problem are already evicted-to-fit by the physical system (the chain
+tracks them with :func:`repro.faults.realize_slot`), and the seed is
+evicted-to-fit the effective capacities before it is offered.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.config import RuntimeConfig, resolved_incremental
 from repro.core.caching_lp import CachingBackend
 from repro.core.primal_dual import (
     PrimalDualResult,
@@ -70,14 +68,6 @@ class OnlineSolveSettings:
         then the best feasible one found so far. ``None`` (default) means
         uncapped. Keeps a degraded or surge-stressed slot from stalling
         the rest of the horizon.
-    incremental:
-        Whether the incremental re-solve layer is active for this
-        controller: every window seeds the previous window's committed
-        trajectory (shifted to the new slots) as a feasible incumbent, and
-        one :class:`repro.perf.solvecache.SolveCache` (the ``P1`` memo) is
-        carried across the whole window sequence.
-        ``None`` (default) defers to ``RuntimeConfig(incremental=...)`` /
-        ``REPRO_INCREMENTAL`` (default on).
     """
 
     max_iter: int = 40
@@ -85,17 +75,6 @@ class OnlineSolveSettings:
     caching_backend: CachingBackend = "auto"
     ub_patience: int | None = 8
     max_seconds: float | None = None
-    incremental: bool | None = None
-
-    def resolved_incremental(self) -> bool:
-        """The effective incremental flag (field, else env, else on)."""
-        if self.incremental is not None:
-            return self.incremental
-        return resolved_incremental(None)
-
-    def make_solve_cache(self) -> SolveCache | None:
-        """A fresh per-plan :class:`SolveCache`, or ``None`` when disabled."""
-        return SolveCache() if self.resolved_incremental() else None
 
 
 @dataclass(frozen=True)
@@ -133,10 +112,9 @@ def solve_window(
     pre-warmed repair-cache entry. Under an active fault schedule the
     window problem is built on the degraded network observed at
     ``decided_at`` and the seed is first evicted-to-fit the effective
-    capacities (warm restart from the last feasible point); on the
-    fault-free path the seeding is gated by ``settings.incremental``
-    (cross-window reuse, default on). ``solve_cache`` carries the ``P1``
-    memo across the caller's whole window sequence.
+    capacities (warm restart from the last feasible point).
+    ``solve_cache`` carries the ``P1`` memo across the caller's whole
+    window sequence (a private one when omitted).
 
     This is the stack of one: the same Algorithm 1 loop
     :func:`solve_windows` runs for many windows.
@@ -144,7 +122,6 @@ def solve_window(
     spec = _window_problem(
         scenario,
         WindowRequest(decided_at, window_start, window, x_prev, mu_warm, x_warm),
-        settings,
     )
     # Stamp the deciding slot onto every event the inner solver emits
     # (solve_done, budget_exhausted), so traces tie each solve to its slot.
@@ -174,31 +151,23 @@ def solve_windows(
     ``settings.max_seconds`` counts from the start of the stacked solve.
     """
     return solve_primal_dual_stack(
-        [_window_problem(scenario, r, settings) for r in requests],
+        [_window_problem(scenario, r) for r in requests],
         solve_cache=solve_cache,
         **_solver_kwargs(settings),
     )
 
 
 def _solver_kwargs(settings: OnlineSolveSettings) -> dict:
-    config = (
-        RuntimeConfig(incremental=settings.incremental)
-        if settings.incremental is not None
-        else None
-    )
     return dict(
         max_iter=settings.max_iter,
         gap_tol=settings.gap_tol,
         caching_backend=settings.caching_backend,
         ub_patience=settings.ub_patience,
         max_seconds=settings.max_seconds,
-        config=config,
     )
 
 
-def _window_problem(
-    scenario: Scenario, request: WindowRequest, settings: OnlineSolveSettings
-) -> WindowProblem:
+def _window_problem(scenario: Scenario, request: WindowRequest) -> WindowProblem:
     """Build one request's window problem, warm start and seed."""
     decided_at, window = request.decided_at, request.window
     x_warm = request.x_warm
@@ -219,11 +188,7 @@ def _window_problem(
                 [sbs_item_values(scenario.network, predicted[t]) for t in range(window)]
             )
             candidates = (evict_trajectory_to_fit(x_warm, caps_t, values_t),)
-    elif (
-        settings.resolved_incremental()
-        and x_warm is not None
-        and x_warm.shape[0] == window
-    ):
+    elif x_warm is not None and x_warm.shape[0] == window:
         candidates = (x_warm,)
     problem = scenario.window_problem(predicted, request.x_prev, network=network)
     mu0 = None
@@ -245,7 +210,7 @@ def _window_problem(
     )
 
 
-def record_cache_stats(cache: SolveCache | None, controller: str) -> None:
+def record_cache_stats(cache: SolveCache, controller: str) -> None:
     """Report a plan's :class:`SolveCache` counters, labeled per controller.
 
     The unlabeled ``p1_memo_*`` counters accumulate
@@ -253,8 +218,6 @@ def record_cache_stats(cache: SolveCache | None, controller: str) -> None:
     attribute the reuse to the controller whose plan owned the cache (the
     benchmark report reads them per policy).
     """
-    if cache is None:
-        return
     labels = {"controller": controller}
     if cache.hits:
         inc("p1_memo_hits", cache.hits, labels=labels)
@@ -268,8 +231,8 @@ def shift_mu(mu: FloatArray, shift: int) -> FloatArray:
     Used to warm-start the next window: slot ``t`` of the new window
     corresponds to slot ``t + shift`` of the previous one; the final
     ``shift`` slots reuse the last available multiplier as a prior. Works
-    on any per-slot trajectory — the controllers also apply it to caching
-    trajectories when seeding warm candidates under faults.
+    on any per-slot trajectory — the FHC chain also applies it to the
+    caching trajectory that seeds its next window.
     """
     if shift <= 0:
         return mu.copy()

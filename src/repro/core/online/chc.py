@@ -26,6 +26,7 @@ from repro.core.rounding import (
 )
 from repro.exceptions import ConfigurationError
 from repro.obs.recorder import inc, label_scope
+from repro.perf.solvecache import SolveCache
 from repro.scenario import PolicyPlan, Scenario
 
 
@@ -39,9 +40,9 @@ class CHC:
         Prediction window size ``w``.
     commitment:
         Commitment level ``r`` in ``[1, w]`` (paper default in the
-        evaluation: ``r = w/2``). ``r = 1`` recovers RHC-like behaviour
-        (but still averaged over one variant, i.e. plain RHC); ``r = w``
-        is AFHC.
+        evaluation: ``r = w/2``). ``r = 1`` runs the one RHC chain, and
+        averaging and rounding its 0/1 actions change nothing: the plan
+        is RHC's, bit for bit. ``r = w`` is AFHC.
     rho:
         Rounding threshold; ``None`` uses the optimal ``rho*`` of Thm 3.
     settings:
@@ -89,7 +90,7 @@ class CHC:
         # share one cache: a stack's P1 rows are looked up before any of
         # them is solved, and every answer is the row's own exact optimum,
         # so sharing never changes a trajectory.
-        cache = self.settings.make_solve_cache()
+        cache = SolveCache()
         trajectories = run_fhc_variants(
             scenario,
             variants=range(self.commitment),

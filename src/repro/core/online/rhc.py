@@ -2,27 +2,22 @@
 
 At each slot ``tau`` RHC solves the window ``[tau, tau + w)`` on predicted
 demand, starting from the caches actually installed at ``tau - 1``, and
-commits only the first slot's actions (Eqs. 32-33). Because the window
-problem is solved by Algorithm 1, the committed caches are integral without
-rounding, and Theorem 2 carries over the continuous competitive ratio
-``1 + O(1/w)``.
+commits only the first slot's actions (Eqs. 32-33). That is the FHC chain
+with commitment ``r = 1`` (:class:`repro.core.online.fhc.FhcChain`), so RHC
+runs that chain and nothing else. Because the window problem is solved by
+Algorithm 1, the committed caches are integral without rounding, and
+Theorem 2 carries over the continuous competitive ratio ``1 + O(1/w)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.core.online.base import (
-    OnlineSolveSettings,
-    record_cache_stats,
-    shift_mu,
-    solve_window,
-)
+from repro.core.online.base import OnlineSolveSettings, record_cache_stats
+from repro.core.online.fhc import run_fhc_variants
 from repro.exceptions import ConfigurationError
-from repro.faults.degrade import realize_slot, scenario_states
-from repro.obs.recorder import inc, label_scope
+from repro.obs.recorder import label_scope
+from repro.perf.solvecache import SolveCache
 from repro.scenario import PolicyPlan, Scenario
 
 
@@ -54,48 +49,14 @@ class RHC:
             return self._plan(scenario)
 
     def _plan(self, scenario: Scenario) -> PolicyPlan:
-        T = scenario.horizon
-        net = scenario.network
-        x = np.zeros((T, net.num_sbs, net.num_items))
-        y = np.zeros((T, net.num_classes, net.num_items))
-        x_prev = scenario.x_initial
-        mu_warm = None
-        x_warm = None
-        solves = 0
-        faulted = scenario.faults is not None and not scenario.faults.is_empty
-        states = scenario_states(scenario) if faulted else None
-        incremental = self.settings.resolved_incremental()
-        cache = self.settings.make_solve_cache()
-        for tau in range(T):
-            result = solve_window(
-                scenario,
-                decided_at=tau,
-                window_start=tau,
-                window=self.window,
-                x_prev=x_prev,
-                settings=self.settings,
-                mu_warm=mu_warm,
-                x_warm=x_warm,
-                solve_cache=cache,
-            )
-            solves += 1
-            inc("controller_commits", labels={"controller": "RHC"})
-            x[tau] = result.x[0]
-            y[tau] = result.y[0]
-            if faulted:
-                # Track the caches actually installed (outage freeze +
-                # evict-to-fit) so the next window starts from reality,
-                # and seed it with this window's shifted trajectory.
-                x_prev = realize_slot(
-                    x[tau], x_prev, states.slot(tau), scenario.demand.rates[tau], net
-                )
-                x_warm = shift_mu(result.x, 1)
-            else:
-                x_prev = x[tau]
-                # Cross-window reuse: the committed trajectory, shifted one
-                # slot, seeds the next window as a feasible incumbent.
-                if incremental:
-                    x_warm = shift_mu(result.x, 1)
-            mu_warm = shift_mu(result.mu, 1)
+        cache = SolveCache()
+        (trajectory,) = run_fhc_variants(
+            scenario,
+            variants=[0],
+            window=self.window,
+            commitment=1,
+            settings=self.settings,
+            solve_cache=cache,
+        )
         record_cache_stats(cache, self.name)
-        return PolicyPlan(x=x, y=y, solves=solves)
+        return PolicyPlan(x=trajectory.x, y=trajectory.y, solves=trajectory.solves)

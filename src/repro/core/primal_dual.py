@@ -47,7 +47,7 @@ from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
-from repro.config import RuntimeConfig, resolved_incremental
+from repro.config import RuntimeConfig
 from repro.core.caching_lp import CachingBackend, solve_caching
 from repro.core.load_balancing import _uses_fast_path, solve_p2, solve_y_given_x
 from repro.core.problem import JointProblem, stack_problems
@@ -207,18 +207,18 @@ def solve_primal_dual(
         blow through the cap.
     config:
         Runtime knobs (:class:`repro.config.RuntimeConfig`): the executor
-        when ``executor`` is not given, and the incremental layer.
+        when ``executor`` is not given.
     solve_cache:
-        Incremental re-solve state (:class:`repro.perf.solvecache.SolveCache`)
-        shared with related solves — the online controllers pass one cache
-        across their whole window sequence. When omitted and the
-        incremental layer is enabled (``RuntimeConfig(incremental=...)`` /
-        ``REPRO_INCREMENTAL``; default on), a private per-call cache is
-        created so within-solve reuse still applies. A cache also enables
-        the *best-dual recovery* step: when the loop stops without
-        converging, the caching trajectory at the best dual point is
-        re-derived (free, via the memo) and evaluated as one extra
-        feasible candidate.
+        The ``P1`` memo (:class:`repro.perf.solvecache.SolveCache`), shared
+        with related solves — the online controllers pass one cache across
+        their whole window sequence. When omitted, a private per-call
+        cache is created. It is a pure cache: a hit returns bitwise the
+        answer a cold solve would, so it saves time and never changes a
+        result. It makes two steps of the loop cheap: the stall re-anchor
+        (the ascent restarts from the best dual point, whose ``P1`` comes
+        from the memo) and the *best-dual recovery* (when the loop stops
+        without converging, the caching trajectory at the best dual point
+        is re-derived and evaluated as one extra feasible candidate).
     """
     (result,) = solve_primal_dual_stack(
         [WindowProblem(problem, mu0=mu0, initial_candidates=initial_candidates)],
@@ -436,7 +436,7 @@ def solve_primal_dual_stack(
     if not states:
         return []
     ex = resolve_executor(executor, config=config)
-    if solve_cache is None and resolved_incremental(config):
+    if solve_cache is None:
         solve_cache = SolveCache()
     timers = StageTimers()
     union = _Union(
@@ -494,13 +494,13 @@ def solve_primal_dual_stack(
                 if w.since_lb_improved >= 5:
                     w.relax = max(w.relax * 0.5, 0.05)
                     w.since_lb_improved = 0
-                    # With a memo, also re-anchor the ascent at the best
-                    # dual point seen: the gradient step is skipped this
-                    # iteration, so the next one re-solves ``mu_best``
+                    # Also re-anchor the ascent at the best dual point
+                    # seen: the gradient step is skipped this iteration,
+                    # so the next one re-solves ``mu_best``
                     # byte-identically — ``P1`` comes straight from the
                     # memo — and the relaxed ascent continues from the
                     # best point instead of wherever the overshoot drifted.
-                    if solve_cache is not None and w.mu_best is not None and w.mu_best is not w.mu:
+                    if w.mu_best is not None and w.mu_best is not w.mu:
                         w.mu = w.mu_best
                         w.reanchor = True
 
@@ -559,8 +559,7 @@ def solve_primal_dual_stack(
             stopped = active
         if not stopped:
             continue
-        if solve_cache is not None:
-            _recover_best_dual(union, stopped, gap_tol)
+        _recover_best_dual(union, stopped, gap_tol)
         for w in stopped:
             results[w.index] = _finish(w, timers, solve_started, max_seconds)
         leaving = {w.index for w in stopped}
@@ -571,7 +570,7 @@ def solve_primal_dual_stack(
 
 
 def _recover_best_dual(union: _Union, stopped: Sequence[_Window], gap_tol: float) -> None:
-    """Best-dual recovery for the windows that just stopped (memo only).
+    """Best-dual recovery for the windows that just stopped.
 
     A loop that stopped without converging (patience or iteration cap)
     last solved ``P1`` at a *worse* dual point than the best one seen.

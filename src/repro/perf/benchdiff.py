@@ -12,8 +12,8 @@ two such records, separates *configuration* (what was measured) from
   measured different things, so timings are reported but never gated.
 - **costs** — per-policy metric values from the embedded sweep payload
   (everything except ``wall_time``), listing the entries that drifted.
-- **counters** — the ``solve_counters`` snapshot (memo hit/miss and
-  warm-resume counts recorded by the headline bench), side by side.
+- **counters** — the ``solve_counters`` snapshot (``P1`` memo hit/miss
+  and batched-path counts recorded by the headline bench), side by side.
 - **slo** — the serve bench's live-SLO block (decision-latency
   quantiles, shed/swap-drop ratios, alert counts), side by side.
   Informational only: latency quantiles are wall-clock measurements, so
@@ -29,10 +29,12 @@ from pathlib import Path
 
 
 #: Top-level fields that are measurement outcomes or runtime *strategy*
-#: (executor choice, incremental re-solve on/off), not problem
-#: configuration. Strategy fields are excluded from the config digest on
-#: purpose: A/B runs of the same problem under different strategies are
-#: exactly the comparisons the wall-time gate exists for.
+#: (executor choice), not problem configuration. Strategy fields are
+#: excluded from the config digest on purpose: A/B runs of the same problem
+#: under different strategies are exactly the comparisons the wall-time
+#: gate exists for. ``incremental`` is a strategy field of records written
+#: while the memo could still be switched off; it stays listed so those
+#: records keep their digest.
 _RESULT_FIELDS = frozenset(
     {
         "speedup",

@@ -55,11 +55,11 @@ from repro.config import (
 from repro.core.online.base import (
     OnlineSolveSettings,
     record_cache_stats,
-    shift_mu,
     solve_window,
 )
+from repro.core.online.fhc import FhcChain
 from repro.exceptions import ConfigurationError
-from repro.faults.degrade import realize_slot, scenario_states
+from repro.faults.degrade import scenario_states
 from repro.network.costs import CostBreakdown
 from repro.obs.live import (
     MetricsServer,
@@ -78,6 +78,7 @@ from repro.obs.recorder import (
     set_gauge,
 )
 from repro.obs.sketch import WindowedCounter
+from repro.perf.solvecache import SolveCache
 from repro.scenario import Scenario
 from repro.serve.admission import AdmissionQueue
 from repro.serve.replay import (
@@ -111,13 +112,14 @@ class CommittedPlan:
 class PlanManager:
     """Background RHC chain: solve window ``[tau, tau+w)``, commit slot ``tau``.
 
-    Mirrors :class:`repro.core.online.rhc.RHC` exactly — same warm-started
-    multipliers, same cross-window candidate seeding, same
-    :func:`~repro.faults.degrade.realize_slot` cache tracking under a
-    fault schedule (the committed ``x`` is the cache *actually installed*,
-    which is what the request path must serve from). Solves run in a
-    worker thread via the event loop's default executor; commits happen on
-    the loop thread, so waiters never race the solver.
+    Drives the chain :class:`repro.core.online.rhc.RHC` runs — an
+    :class:`~repro.core.online.fhc.FhcChain` with ``r = 1`` — one slot at a
+    time, so each slot's ``y`` is RHC's row and its ``x`` is the chain's
+    installed caches: RHC's row fault-free, the caches left by
+    :func:`~repro.faults.degrade.realize_slot` under a fault schedule
+    (what the request path must serve from). Solves run in a worker
+    thread via the event loop's default executor; commits happen on the
+    loop thread, so waiters never race the solver.
     """
 
     def __init__(
@@ -202,18 +204,9 @@ class PlanManager:
 
     async def _run(self, horizon: int) -> None:
         loop = asyncio.get_running_loop()
-        scenario = self.scenario
-        net = scenario.network
-        x_prev = scenario.x_initial
-        mu_warm: FloatArray | None = None
-        x_warm: FloatArray | None = None
-        faulted = scenario.faults is not None and not scenario.faults.is_empty
-        states = scenario_states(scenario) if faulted else None
-        incremental = self.settings.resolved_incremental()
-        cache = self.settings.make_solve_cache()
-        ambient = current_recorder()
-        for tau in range(horizon):
-            if self.solve_fn is not None:
+        if self.solve_fn is not None:
+            x_prev = self.scenario.x_initial
+            for tau in range(horizon):
                 x_slot, y_slot = await loop.run_in_executor(
                     None, self.solve_fn, tau, x_prev
                 )
@@ -221,7 +214,13 @@ class PlanManager:
                     np.asarray(x_slot, dtype=np.float64) > 0.5, 1.0, 0.0
                 )
                 self._commit(tau, x_prev, np.asarray(y_slot, dtype=np.float64))
-                continue
+            return
+        scenario = self.scenario
+        chain = FhcChain(scenario, 0, self.window, 1)
+        cache = SolveCache()
+        ambient = current_recorder()
+        for tau in range(horizon):
+            request = chain.request(tau)
             result, recorder = await loop.run_in_executor(
                 None,
                 partial(
@@ -229,13 +228,13 @@ class PlanManager:
                     partial(
                         solve_window,
                         scenario,
-                        decided_at=tau,
-                        window_start=tau,
-                        window=self.window,
-                        x_prev=x_prev,
+                        decided_at=request.decided_at,
+                        window_start=request.window_start,
+                        window=request.window,
+                        x_prev=request.x_prev,
                         settings=self.settings,
-                        mu_warm=mu_warm,
-                        x_warm=x_warm,
+                        mu_warm=request.mu_warm,
+                        x_warm=request.x_warm,
                         solve_cache=cache,
                     ),
                 ),
@@ -247,22 +246,9 @@ class PlanManager:
             self.timings[tau] = {
                 str(k): float(v) for k, v in result.timings.items()
             }
-            x_slot = result.x[0]
-            y_slot = result.y[0]
-            if faulted:
-                assert states is not None
-                x_prev = realize_slot(
-                    x_slot, x_prev, states.slot(tau), scenario.demand.rates[tau], net
-                )
-                x_warm = shift_mu(result.x, 1)
-                # Serve from the caches actually installed, not the plan.
-                x_slot = x_prev
-            else:
-                x_prev = x_slot
-                if incremental:
-                    x_warm = shift_mu(result.x, 1)
-            mu_warm = shift_mu(result.mu, 1)
-            self._commit(tau, x_slot, y_slot)
+            chain.commit(tau, result)
+            # Serve from the caches actually installed, not the plan.
+            self._commit(tau, chain.x_prev, chain.y[tau])
         record_cache_stats(cache, "serve")
 
 

@@ -346,7 +346,8 @@ class TestBenchDiff:
         assert "wall-time gate disabled" in out
 
     def test_strategy_fields_do_not_break_comparability(self, tmp_path, capsys):
-        """incremental on/off A/B runs of the same problem stay gated."""
+        """A/B runs of the same problem under different strategy fields
+        (here ``incremental``, which older records carry) stay gated."""
         old = self._write(
             tmp_path, "old.json", self._record(serial=10.0, incremental=False)
         )

@@ -71,7 +71,6 @@ class TestKnobCreep:
         assert [f.name for f in dataclasses.fields(RuntimeConfig)] == [
             "executor",
             "workers",
-            "incremental",
             "serve_rps",
             "serve_admission",
             "serve_queue_depth",
@@ -85,7 +84,6 @@ class TestKnobCreep:
         for path in SRC.rglob("*.py"):
             names.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
         assert names == {
-            "REPRO_INCREMENTAL",
             "REPRO_NESTED_WORKER",
             "REPRO_BENCH_SCALE",
             "REPRO_SERVE_RPS",

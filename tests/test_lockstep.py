@@ -8,8 +8,10 @@ bit what :func:`repro.core.primal_dual.solve_primal_dual` (the stack of
 one) returns for it. These tests pin that on randomized stacks — windows
 with different networks (caps, bandwidths, ``beta``, outages), all-zero
 demand, warm starts, seeds, and stopping at different iterations for
-different reasons — and pin that CHC/AFHC, which step their FHC chains in
-lockstep, plan exactly what the chains run one after another plan.
+different reasons — and pin that RHC/CHC/AFHC, which step their FHC chains
+in lockstep, plan exactly what the chains run one after another plan. The
+``P1`` memo is a pure cache: a cache that never answers gives bitwise the
+same stacks and plans.
 """
 
 from __future__ import annotations
@@ -18,10 +20,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import RuntimeConfig
+from repro.core import primal_dual
 from repro.core.horizon import committed_slots, fhc_solve_times
-from repro.core.online.base import OnlineSolveSettings, shift_mu, solve_window
+from repro.core.online import base as online_base
+from repro.core.online import chc as online_chc
+from repro.core.online import fhc as online_fhc
+from repro.core.online import rhc as online_rhc
+from repro.core.online.base import (
+    OnlineSolveSettings,
+    record_cache_stats,
+    shift_mu,
+    solve_window,
+)
 from repro.core.online.chc import AFHC, CHC
+from repro.core.online.rhc import RHC
 from repro.core.primal_dual import (
     WindowProblem,
     solve_primal_dual,
@@ -119,6 +131,16 @@ def _assert_same_result(a, b):
     assert a.convergence == b.convergence
 
 
+class _MissCache(SolveCache):
+    """A ``SolveCache`` that never answers: every lookup is a miss, so
+    every ``P1`` row is solved cold. Algorithm 1 fed this cache must give
+    bitwise what it gives with a real one — the memo is a pure cache."""
+
+    def lookup(self, key):
+        self.misses += 1
+        return None
+
+
 stack_draws = st.tuples(
     st.integers(0, 2**32 - 1),  # numpy seed
     st.integers(2, 5),  # B windows
@@ -128,20 +150,18 @@ stack_draws = st.tuples(
     st.sampled_from([None, 1, 3]),  # ub_patience
     st.sampled_from([1e-6, 1e-3, 5e-2]),  # gap_tol
     st.sampled_from(["polyak", "paper"]),
-    st.booleans(),  # memo on
+    st.booleans(),  # the stack's cache: real memo, or one that always misses
 )
 
 
 def _solve_both(windows, *, max_iter, ub_patience, gap_tol, step, memo):
-    kwargs = dict(
-        max_iter=max_iter,
-        ub_patience=ub_patience,
-        gap_tol=gap_tol,
-        step=step,
-        config=RuntimeConfig(incremental=memo),
-    )
+    """Each window solved in one stack and alone. The stack shares one real
+    ``SolveCache`` (``memo``) or a :class:`_MissCache`; each alone solve
+    makes its own real cache, so ``memo=False`` also pins that a memo hit
+    never changes a result."""
+    kwargs = dict(max_iter=max_iter, ub_patience=ub_patience, gap_tol=gap_tol, step=step)
     stacked = solve_primal_dual_stack(
-        windows, solve_cache=SolveCache() if memo else None, **kwargs
+        windows, solve_cache=SolveCache() if memo else _MissCache(), **kwargs
     )
     alone = [
         solve_primal_dual(
@@ -207,6 +227,25 @@ class TestStackedEqualsAlone:
         else:  # pragma: no cover - the generator always finds one
             pytest.fail("no ragged stack drawn")
         for a, b in zip(stacked, alone):
+            _assert_same_result(a, b)
+
+    def test_memo_is_a_pure_cache_on_ragged_stacks(self):
+        # A ragged stack whose real memo answers some rows (the stall
+        # re-anchor and best-dual recovery revisit earlier prices) solves
+        # bitwise as with a cache that never answers.
+        kwargs = dict(max_iter=30, ub_patience=None, gap_tol=1e-6)
+        for seed in range(40):
+            windows = _stack(np.random.default_rng(seed), B=4, K=5, T=3)
+            real = SolveCache()
+            with_memo = solve_primal_dual_stack(windows, solve_cache=real, **kwargs)
+            if real.hits and len({r.iterations for r in with_memo}) > 1:
+                break
+        else:  # pragma: no cover - the generator always finds one
+            pytest.fail("no ragged stack with memo hits drawn")
+        miss = _MissCache()
+        cold = solve_primal_dual_stack(windows, solve_cache=miss, **kwargs)
+        assert miss.hits == 0 and miss.misses == real.hits + real.misses
+        for a, b in zip(with_memo, cold):
             _assert_same_result(a, b)
 
     def test_solve_done_per_window_with_its_slot(self):
@@ -300,17 +339,30 @@ class TestStallReadsStopReason:
         assert "convergence_stall" in kinds
 
 
-# ------------------------------------------------------------ CHC / AFHC
+# ------------------------------------------------------- RHC / CHC / AFHC
 
 SETTINGS = OnlineSolveSettings(max_iter=12)
-COUNTERS = ("window_solves", "controller_commits", "fhc_variants_run")
+COUNTERS = (
+    "window_solves",
+    "window_solves_warm_started",
+    "window_solves_candidate_seeded",
+    "controller_commits",
+    "fhc_variants_run",
+    "p1_memo_hits",
+    "p1_memo_misses",
+)
+
+
+def _commitment(policy):
+    return policy.commitment if isinstance(policy, CHC) else 1
 
 
 def _sequential_variant(scenario, v, policy, cache):
     """One FHC chain run alone, window after window through
     :func:`solve_window` — the per-variant loop CHC ran before its chains
-    stepped in lockstep."""
-    w, r = policy.window, policy.commitment
+    stepped in lockstep, and RHC's own loop (the chain with ``r = 1``)."""
+    w, r = policy.window, _commitment(policy)
+    labels = {"controller": "RHC"} if r == 1 else {"controller": "FHC", "variant": v}
     T, net = scenario.horizon, scenario.network
     x = np.zeros((T, net.num_sbs, net.num_items))
     y = np.zeros((T, net.num_classes, net.num_items))
@@ -323,7 +375,7 @@ def _sequential_variant(scenario, v, policy, cache):
         )
         solves += 1
         slots = committed_slots(tau, r, T)
-        inc("controller_commits", len(slots), labels={"controller": "FHC", "variant": v})
+        inc("controller_commits", len(slots), labels=labels)
         for t in slots:
             x[t] = result.x[t - tau]
             y[t] = result.y[t - tau]
@@ -332,42 +384,61 @@ def _sequential_variant(scenario, v, policy, cache):
                 x_prev = realize_slot(x[t], x_prev, states.slot(t), scenario.demand.rates[t], net)
         elif len(slots):
             x_prev = x[slots[-1]]
-        if faulted or policy.settings.resolved_incremental():
-            x_warm = shift_mu(result.x, r)
+        x_warm = shift_mu(result.x, r)
         mu_warm = shift_mu(result.mu, r)
     return x, y, solves
 
 
 def _sequential_plan(policy, scenario):
-    """What CHC planned when its FHC chains ran one after another: each
-    variant's whole trajectory, then the next, through one shared cache."""
+    """What the controller planned when its FHC chains ran one after
+    another: each variant's whole trajectory, then the next, through one
+    shared cache; CHC/AFHC then average and round, RHC commits its one
+    chain as is."""
     with label_scope(controller=policy.name):
         net = scenario.network
+        cache = SolveCache()
+        if isinstance(policy, RHC):
+            x, y, solves = _sequential_variant(scenario, 0, policy, cache)
+            record_cache_stats(cache, policy.name)
+            return x, y, solves
         x_sum = np.zeros((scenario.horizon, net.num_sbs, net.num_items))
         y_sum = np.zeros((scenario.horizon, net.num_classes, net.num_items))
         solves = 0
-        cache = policy.settings.make_solve_cache()
         for v in range(policy.commitment):
             x, y, n = _sequential_variant(scenario, v, policy, cache)
             x_sum += x
             y_sum += y
             solves += n
             inc("fhc_variants_run", labels={"controller": policy.name})
+        record_cache_stats(cache, policy.name)
         rho = policy.rho if policy.rho is not None else optimal_rounding_threshold()
         x = round_caching(x_sum / policy.commitment, net.cache_sizes, rho=rho)
         y = round_load_balancing(y_sum / policy.commitment, x, net.class_sbs)
     return x, y, solves
 
 
-def _counters(recorder):
+def _counters(recorder, *, memo_split):
+    """The controller counters; with ``memo_split=False`` each label set's
+    ``p1_memo_hits``/``p1_memo_misses`` pair is summed into its lookups."""
     counters = recorder.metrics.items()["counters"]
-    return {k: v for k, v in counters.items() if k[0] in COUNTERS}
+    out = {k: v for k, v in counters.items() if k[0] in COUNTERS}
+    if not memo_split:
+        for (name, labels), value in list(out.items()):
+            if name.startswith("p1_memo_"):
+                del out[(name, labels)]
+                key = ("p1_memo_lookups", labels)
+                out[key] = out.get(key, 0.0) + value
+    return out
 
 
 @pytest.mark.parametrize(
     "policy",
-    [CHC(window=4, commitment=2, settings=SETTINGS), AFHC(window=3, settings=SETTINGS)],
-    ids=["chc", "afhc"],
+    [
+        CHC(window=4, commitment=2, settings=SETTINGS),
+        AFHC(window=3, settings=SETTINGS),
+        RHC(window=3, settings=SETTINGS),
+    ],
+    ids=["chc", "afhc", "rhc"],
 )
 @pytest.mark.parametrize("faulted", [False, True], ids=["nominal", "faults"])
 def test_lockstep_plan_equals_sequential_chains(policy, faulted):
@@ -394,8 +465,55 @@ def test_lockstep_plan_equals_sequential_chains(policy, faulted):
     assert plan.solves == solves_ref
     # The lockstep steps really stack several windows (ragged tails and
     # negatively anchored first windows included).
-    lengths = {len(fhc_solve_times(v, policy.commitment, scenario.horizon)) for v in range(policy.commitment)}
+    r = _commitment(policy)
+    lengths = {len(fhc_solve_times(v, r, scenario.horizon)) for v in range(r)}
     assert max(lengths) >= 2
-    assert _counters(new_rec) == _counters(ref_rec)
+    # One chain looks its rows up in the same order either way, so RHC's
+    # memo hits and misses match exactly. Stepping several chains together
+    # reorders their lookups, which moves the hit/miss split but not the
+    # number of lookups.
+    counters = _counters(new_rec, memo_split=r == 1)
+    assert counters == _counters(ref_rec, memo_split=r == 1)
+    memo = "p1_memo_misses" if r == 1 else "p1_memo_lookups"
+    assert {"window_solves", "controller_commits"} <= {k[0] for k in counters}
+    assert counters[(memo, (("controller", policy.name),))] > 0
     done = [len([e for e in r.events if e.kind == "solve_done"]) for r in (ref_rec, new_rec)]
     assert done[0] == done[1] == solves_ref
+
+
+#: Settings under which every controller below gets memo hits on the
+#: scenario of :func:`test_memo_is_a_pure_cache_on_plans`: without the
+#: patience stop the dual stalls, so the re-anchor revisits prices.
+NO_PATIENCE = OnlineSolveSettings(max_iter=20, ub_patience=None)
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        RHC(window=4),
+        CHC(window=4, commitment=2, settings=NO_PATIENCE),
+        AFHC(window=3, settings=NO_PATIENCE),
+    ],
+    ids=["rhc", "chc", "afhc"],
+)
+def test_memo_is_a_pure_cache_on_plans(policy, monkeypatch):
+    """A controller whose memo never answers plans bitwise what it plans
+    with the real memo."""
+    scenario = paper_scenario(seed=1, horizon=10, num_items=12)
+    real_rec, cold_rec = Recorder(), Recorder()
+    with record_into(real_rec):
+        real = policy.plan(scenario)
+    for module in (online_base, online_chc, online_fhc, online_rhc, primal_dual):
+        if hasattr(module, "SolveCache"):
+            monkeypatch.setattr(module, "SolveCache", _MissCache)
+    with record_into(cold_rec):
+        cold = policy.plan(scenario)
+    assert cold.x.tobytes() == real.x.tobytes()
+    assert cold.y.tobytes() == real.y.tobytes()
+    assert cold.solves == real.solves
+    hits, misses = (
+        [r.metrics.counter(name) for r in (real_rec, cold_rec)]
+        for name in ("p1_memo_hits", "p1_memo_misses")
+    )
+    assert hits[0] > 0 and hits[1] == 0
+    assert hits[0] + misses[0] == misses[1]

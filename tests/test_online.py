@@ -10,8 +10,11 @@ from repro.core.online import AFHC, CHC, RHC, OnlineSolveSettings
 from repro.core.online.base import shift_mu
 from repro.core.online.fhc import run_fhc_variant
 from repro.exceptions import ConfigurationError
+from repro.faults import inject_faults
 from repro.scenario import validate_plan
 from repro.sim.engine import evaluate_plan
+from repro.sim.experiment import paper_scenario
+from repro.sim.resilience import default_fault_schedule
 from repro.workload.predictor import PerfectPredictor
 
 FAST = OnlineSolveSettings(max_iter=25, gap_tol=5e-3, ub_patience=6)
@@ -103,13 +106,20 @@ class TestCHC:
         mask = plan.x[:, small_scenario.network.class_sbs, :] == 0
         assert np.abs(plan.y[mask]).max(initial=0.0) == 0.0
 
-    def test_commitment_one_equals_rhc_trajectory(self, small_scenario):
+    def test_commitment_one_equals_rhc_trajectory(self):
         """CHC with r=1 averages a single FHC variant solving every slot -
-        exactly RHC (rounding a 0/1 average is the identity)."""
-        settings = OnlineSolveSettings(max_iter=40, gap_tol=1e-4, ub_patience=None)
-        chc = CHC(window=4, commitment=1, settings=settings).plan(small_scenario)
-        rhc = RHC(window=4, settings=settings).plan(small_scenario)
-        np.testing.assert_allclose(chc.x, rhc.x)
+        exactly RHC (rounding a 0/1 average is the identity), bit for bit
+        in ``x`` and ``y`` under the default settings, with and without
+        faults."""
+        for seed in (1, 2):
+            nominal = paper_scenario(seed=seed, horizon=12)
+            faulted = inject_faults(nominal, default_fault_schedule(nominal.horizon))
+            for scenario in (nominal, faulted):
+                chc = CHC(window=4, commitment=1).plan(scenario)
+                rhc = RHC(window=4).plan(scenario)
+                assert chc.x.tobytes() == rhc.x.tobytes()
+                assert chc.y.tobytes() == rhc.y.tobytes()
+                assert chc.solves == rhc.solves == scenario.horizon
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):

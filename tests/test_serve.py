@@ -11,6 +11,8 @@ import pytest
 from repro import api
 from repro.config import RuntimeConfig
 from repro.exceptions import ConfigurationError
+from repro.faults.degrade import realize_caching, scenario_states
+from repro.faults.schedule import CacheDegradation, FaultSchedule, SbsOutage
 from repro.obs import Recorder, record_into, validate_trace
 from repro.serve import (
     AdmissionQueue,
@@ -345,6 +347,38 @@ class TestPlanManager:
     def test_rejects_nonpositive_window(self):
         with pytest.raises(ConfigurationError, match="window"):
             PlanManager(tiny_scenario(horizon=2), window=0)
+
+    def test_commits_the_rhc_plan_and_the_installed_caches(self):
+        # The serve chain is RHC stepped one slot at a time: fault-free it
+        # commits RHC's rows; under faults it commits the caches actually
+        # installed (RHC's caches rolled through the physical repairs). A
+        # cache shrink during an outage makes the two differ: the frozen
+        # caches no longer fit and are evicted.
+        nominal = tiny_scenario(horizon=6, seed=2)
+        faulted = api.inject_faults(
+            nominal,
+            FaultSchedule(
+                events=(
+                    SbsOutage(sbs=0, start=1, duration=3),
+                    CacheDegradation(sbs=0, start=2, duration=1, factor=0.5),
+                )
+            ),
+        )
+        for scenario in (nominal, faulted):
+            planner = PlanManager(scenario, window=3)
+            asyncio.run(planner.run(scenario.horizon))
+            rhc = api.RHC(window=3).plan(scenario)
+            x_served = realize_caching(
+                rhc.x,
+                scenario.x_initial,
+                scenario_states(scenario),
+                scenario.demand.rates,
+                scenario.network,
+            )
+            assert (x_served.tobytes() == rhc.x.tobytes()) == (scenario is nominal)
+            for t in range(scenario.horizon):
+                assert planner.plans[t].x.tobytes() == x_served[t].tobytes()
+                assert planner.plans[t].y.tobytes() == rhc.y[t].tobytes()
 
 
 class TestStrategyComparison:

@@ -1,4 +1,4 @@
-"""Tests for the incremental re-solve layer (``repro.perf.solvecache``).
+"""Tests for the ``P1`` memo (``repro.perf.solvecache``).
 
 The layer's load-bearing invariant (DESIGN.md, "Incremental re-solve") is
 **digest-exact skips only**: a memo hit returns bitwise the answer the
@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.config import RuntimeConfig, resolved_incremental
 from repro.core.caching_lp import solve_caching
 from repro.network.topology import single_cell_network
 from repro.perf.solvecache import SolveCache, p1_digest
@@ -113,22 +112,6 @@ def test_memo_hits_return_exact_cold_solutions(seed: int):
     repeats = len(order) - len(set(order))
     assert cache.hits == repeats * net.num_sbs
     assert cache.misses == len(set(order)) * net.num_sbs
-
-
-class TestIncrementalConfig:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_INCREMENTAL", raising=False)
-        assert resolved_incremental(None) is True
-
-    def test_env_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INCREMENTAL", "0")
-        assert resolved_incremental(None) is False
-
-    def test_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INCREMENTAL", "0")
-        assert resolved_incremental(RuntimeConfig(incremental=True)) is True
-        monkeypatch.delenv("REPRO_INCREMENTAL")
-        assert resolved_incremental(RuntimeConfig(incremental=False)) is False
 
 
 class TestCacheAcrossExecutors:
